@@ -7,11 +7,11 @@ import json
 import sys
 from pathlib import Path
 
-from .ensemble import (EnsembleSpec, EtaSchedule, distribution_from_json,
-                       run_pipeline, sample_general)
+from .ensemble import (EnsembleSpec, EtaSchedule, SpecError,
+                       distribution_from_json, run_pipeline, sample_general)
 from .experiment import (ConfigError, ExperimentConfig, default_verify_config,
                          emit, run, verify)
-from .spectra import ESD, SpectralSample, esd_to_csv
+from .spectra import ESD, DomainError, SpectralSample, esd_to_csv
 
 _CLI_DISTRIBUTIONS = ("gse", "rademacher", "uniform")
 
@@ -146,7 +146,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, OSError) as exc:
+    except (ConfigError, SpecError, DomainError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -527,8 +527,8 @@ def lindeberg_statistic(spec: EnsembleSpec, eta: float,
     threshold exceeds the entry bound, and otherwise by ``mc_samples`` Monte
     Carlo draws from an offset stream of ``spec.seed``.
     """
-    if eta <= 0:
-        raise ValueError("eta must be positive")
+    if not (eta > 0 and math.isfinite(eta)):
+        raise SpecError(f"eta must be positive and finite, got {eta}")
     n = spec.n
     c = eta * math.sqrt(n)
     dist = spec.distribution
@@ -626,8 +626,8 @@ def truncate(w: SelfDualMatrix, eta_n: float):
     complex rank of the embedded difference: at most 4 per off-diagonal pair
     and 2 per diagonal entry, and at most 2 per touched quaternion row.
     """
-    if eta_n <= 0:
-        raise ValueError("eta_n must be positive")
+    if not (eta_n > 0 and math.isfinite(eta_n)):
+        raise SpecError(f"eta_n must be positive and finite, got {eta_n}")
     n = w.n
     threshold = eta_n * math.sqrt(n) * w.scale  # comparison on stored (scaled) norms
     norms = w.entry_norms()

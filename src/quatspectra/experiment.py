@@ -10,6 +10,7 @@ identical regardless of scheduling.
 
 from __future__ import annotations
 
+import cmath
 import csv
 import hashlib
 import json
@@ -92,8 +93,10 @@ class ExperimentConfig:
         if self.trials_per_size < 1:
             raise ConfigError("trials_per_size must be at least 1")
         for z in self.z_grid:
-            if complex(z).imag <= 0:
-                raise ConfigError(f"z grid point {z} is not in the upper half plane")
+            z = complex(z)
+            if not (cmath.isfinite(z) and z.imag > 0):
+                raise ConfigError(f"z grid point {z} is not a finite point "
+                                  "of the upper half plane")
         if self.output_format not in ("csv", "json"):
             raise ConfigError(f"unknown output format {self.output_format!r}")
         unknown = set(self.checks) - set(KNOWN_CHECKS)
@@ -178,6 +181,13 @@ class ConvergenceRow:
         }
 
 
+def _draws(config: ExperimentConfig):
+    """``(trial, spec)`` of every draw of a run, in ``(n, trial)`` order."""
+    for n in config.sizes:
+        for trial in range(config.trials_per_size):
+            yield trial, _trial_spec(config, int(n), trial)
+
+
 def _trial_spec(config: ExperimentConfig, n: int, trial: int) -> EnsembleSpec:
     base = config.ensemble
     return EnsembleSpec(
@@ -253,8 +263,8 @@ def run(config: ExperimentConfig, jobs: int = 1) -> list:
         hist_dir = str(Path(config.output_path).resolve().parent)
         Path(hist_dir).mkdir(parents=True, exist_ok=True)
     config_json = config.to_json()
-    payloads = [(config_json, int(n), t, hist_dir)
-                for n in config.sizes for t in range(config.trials_per_size)]
+    payloads = [(config_json, spec.n, trial, hist_dir)
+                for trial, spec in _draws(config)]
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             rows = list(pool.map(_run_trial, payloads))
@@ -344,18 +354,12 @@ def _check_type2_inverse(config: ExperimentConfig) -> CheckResult:
     )
 
 
-def _verify_draws(config: ExperimentConfig):
-    for n in config.sizes:
-        for trial in range(config.trials_per_size):
-            spec = _trial_spec(config, int(n), trial)
-            yield spec, sample_general(spec)
-
-
 def _check_resolvent_structure(config: ExperimentConfig) -> CheckResult:
     worst = 0.0
     failures = []
     count = 0
-    for spec, w in _verify_draws(config):
+    for _, spec in _draws(config):
+        w = sample_general(spec)
         for z in config.z_grid:
             report = resolvent_structure_check(w, z, config.check_tol)
             worst = max(worst, report.max_residual)
@@ -372,7 +376,8 @@ def _check_trace_minor(config: ExperimentConfig) -> CheckResult:
     failures = []
     worst_ratio = 0.0
     count = 0
-    for spec, w in _verify_draws(config):
+    for _, spec in _draws(config):
+        w = sample_general(spec)
         for z in config.z_grid:
             report = trace_minor_check(w, z)
             worst_ratio = max(worst_ratio, report.max_difference / report.bound)
@@ -391,14 +396,15 @@ def _stage_esd(w: SelfDualMatrix) -> ESD:
     return ESD(spectra.hermitian_eigenvalues(spectra.embed(w)))
 
 
-def check_pipeline_bounds(spec: EnsembleSpec, which: str = "both"):
+def check_pipeline_bounds(spec: EnsembleSpec):
     """Run the pipeline once and verify its recorded Levy/rank bounds.
 
-    Returns a dict with per-stage outcomes.  Levy: the cubed distance between
-    consecutive stage ESDs must not exceed the recorded trace bound (with a
-    small slack absorbing the Levy bisection bracket).  Rank: the sup ESD
-    distance across the truncation stage must not exceed the recorded rank
-    bound.
+    Returns one dict of outcomes per stage: every stage has the Levy
+    entries, the truncation stage also the rank entries.  Levy: the cubed
+    distance between consecutive stage ESDs must not exceed the recorded
+    trace bound (with a small slack absorbing the Levy bisection bracket).
+    Rank: the sup ESD distance across the truncation stage must not exceed
+    the recorded rank bound.
     """
     _, trace = run_pipeline(spec, keep_matrices=True)
     esds = [_stage_esd(m) for _, m in trace.matrices]
@@ -407,12 +413,11 @@ def check_pipeline_bounds(spec: EnsembleSpec, which: str = "both"):
         prev = esds[i]
         cur = esds[i + 1]
         entry = {"stage": record.name}
-        if which in ("both", "levy"):
-            dist = levy_distance(prev, cur)
-            entry["levy"] = dist
-            entry["levy_cube_bound"] = record.levy_cube_bound
-            entry["levy_ok"] = dist**3 <= record.levy_cube_bound + 4e-6
-        if which in ("both", "rank") and record.name == "truncate":
+        dist = levy_distance(prev, cur)
+        entry["levy"] = dist
+        entry["levy_cube_bound"] = record.levy_cube_bound
+        entry["levy_ok"] = dist**3 <= record.levy_cube_bound + 4e-6
+        if record.name == "truncate":
             grid = np.concatenate([prev.points, cur.points])
             sup = float(np.max(np.abs(prev.cdf(grid) - cur.cdf(grid))))
             entry["sup_distance"] = sup
@@ -426,14 +431,12 @@ def _check_bounds(config: ExperimentConfig, which: str) -> CheckResult:
     key = "levy_ok" if which == "levy" else "rank_ok"
     failures = []
     count = 0
-    for n in config.sizes:
-        for trial in range(config.trials_per_size):
-            spec = _trial_spec(config, int(n), trial)
-            for entry in check_pipeline_bounds(spec, which):
-                if key in entry:
-                    count += 1
-                    if not entry[key]:
-                        failures.append({"n": spec.n, "seed": spec.seed, **entry})
+    for _, spec in _draws(config):
+        for entry in check_pipeline_bounds(spec):
+            if key in entry:
+                count += 1
+                if not entry[key]:
+                    failures.append({"n": spec.n, "seed": spec.seed, **entry})
     return CheckResult(f"{which}_bounds", not failures,
                        {"checks": count, "failures": failures})
 

@@ -11,6 +11,7 @@ transform ``s(z) = -(z - sqrt(z^2 - 4)) / 2`` (unit sigma) satisfies
 
 from __future__ import annotations
 
+import cmath
 import csv
 import math
 from dataclasses import dataclass
@@ -25,8 +26,6 @@ __all__ = [
     "DomainError",
     "NotHermitianError",
     "PairingError",
-    "EigenConvergenceError",
-    "DEFAULT_EIGEN_BACKEND",
     "embed",
     "hermitian_eigenvalues",
     "dedup_pairs",
@@ -61,16 +60,11 @@ class PairingError(ValueError):
     """Sorted eigenvalues do not split into near-degenerate pairs."""
 
 
-class EigenConvergenceError(RuntimeError):
-    """The shifted QL iteration failed to converge."""
-
-
-#: Default eigensolver backend.  "lapack" delegates to the platform provider
-#: (numpy.linalg.eigvalsh); "householder_ql" is the self-contained reduction
-#: to real symmetric tridiagonal form plus implicit Wilkinson-shift QL.
-#: Both satisfy the same contract and are tested against the same oracles;
-#: lapack is the default because it is much faster at sweep sizes.
-DEFAULT_EIGEN_BACKEND = "lapack"
+def _upper_half_plane(z) -> complex:
+    z = complex(z)
+    if not (cmath.isfinite(z) and z.imag > 0):
+        raise DomainError(f"z must be finite with Im z > 0, got {z}")
+    return z
 
 
 def _as_values(m) -> np.ndarray:
@@ -100,125 +94,31 @@ def embed(w: SelfDualMatrix) -> BlockMatrix:
 
 
 # ---------------------------------------------------------------------------
-# eigensolvers
+# eigenvalues
 # ---------------------------------------------------------------------------
 
-def _tridiagonalize(a: np.ndarray):
-    """Householder reduction of a Hermitian matrix to real tridiagonal form.
+def hermitian_eigenvalues(m) -> np.ndarray:
+    """All eigenvalues of a Hermitian matrix, ascending (LAPACK ``eigvalsh``).
 
-    Complex reflectors zero each column below the first subdiagonal; the
-    remaining complex subdiagonal is made real nonnegative by a diagonal
-    phase similarity (taking absolute values).  Returns ``(d, e)``.
-    """
-    A = np.array(a, dtype=complex)
-    N = A.shape[0]
-    if N == 0:
-        return np.empty(0), np.empty(0)
-    e = np.zeros(max(N - 1, 0), dtype=complex)
-    for k in range(N - 2):
-        x = A[k + 1:, k].copy()
-        xnorm = np.linalg.norm(x)
-        if xnorm == 0.0:
-            e[k] = 0.0
-            continue
-        x0 = x[0]
-        phase = x0 / abs(x0) if x0 != 0 else 1.0
-        alpha = -phase * xnorm
-        v = x
-        v[0] -= alpha
-        v /= np.linalg.norm(v)
-        B = A[k + 1:, k + 1:]
-        q = B @ v
-        s = np.real(np.vdot(v, q))
-        wv = 2.0 * (q - s * v)
-        B -= np.outer(v, wv.conj()) + np.outer(wv, v.conj())
-        e[k] = alpha
-    if N >= 2:
-        e[N - 2] = A[N - 1, N - 2]
-    return A.diagonal().real.copy(), np.abs(e)
-
-
-def _ql_implicit(d: np.ndarray, e: np.ndarray, max_iter: int = 50) -> np.ndarray:
-    """Eigenvalues of a real symmetric tridiagonal matrix by implicit-shift QL."""
-    n = d.size
-    d = d.astype(float).copy()
-    e = np.append(e.astype(float), 0.0)
-    eps = np.finfo(float).eps
-    for l in range(n):
-        iterations = 0
-        while True:
-            m = l
-            while m < n - 1:
-                dd = abs(d[m]) + abs(d[m + 1])
-                if abs(e[m]) <= eps * dd:
-                    break
-                m += 1
-            if m == l:
-                break
-            iterations += 1
-            if iterations > max_iter:
-                raise EigenConvergenceError(
-                    f"QL iteration did not converge at index {l}")
-            g = (d[l + 1] - d[l]) / (2.0 * e[l])
-            r = math.hypot(g, 1.0)
-            g = d[m] - d[l] + e[l] / (g + math.copysign(r, g))
-            s = 1.0
-            c = 1.0
-            p = 0.0
-            underflow = False
-            for i in range(m - 1, l - 1, -1):
-                f = s * e[i]
-                b = c * e[i]
-                r = math.hypot(f, g)
-                e[i + 1] = r
-                if r == 0.0:
-                    d[i + 1] -= p
-                    e[m] = 0.0
-                    underflow = True
-                    break
-                s = f / r
-                c = g / r
-                g = d[i + 1] - p
-                r = (d[i] - g) * s + 2.0 * c * b
-                p = s * r
-                d[i + 1] = g + p
-                g = c * r - b
-            if not underflow:
-                d[l] -= p
-                e[l] = g
-                e[m] = 0.0
-    return np.sort(d)
-
-
-def hermitian_eigenvalues(m, backend: Optional[str] = None) -> np.ndarray:
-    """All eigenvalues of a Hermitian matrix, ascending.
-
-    The input must be Hermitian within ``1e-10 * max|entry|``; both backends
-    reduce to a real symmetric tridiagonal problem and apply an implicitly
-    shifted iteration (the platform provider via LAPACK, or the
-    self-contained Householder + QL path).
+    The input must be finite and Hermitian within ``1e-10 * max|entry|``.
 
     Raises
     ------
     NotHermitianError
-        If the Hermitian residual precondition fails.
+        If an entry is not finite or the Hermitian residual precondition
+        fails.
     """
     A = _as_values(m)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {A.shape}")
     scale = float(np.max(np.abs(A))) if A.size else 0.0
+    if not math.isfinite(scale):
+        raise NotHermitianError("matrix entries must be finite")
     residual = float(np.max(np.abs(A - A.conj().T))) if A.size else 0.0
-    if residual > 1e-10 * max(scale, 1e-300):
+    if not residual <= 1e-10 * max(scale, 1e-300):
         raise NotHermitianError(
             f"Hermitian residual {residual:.3e} exceeds 1e-10 * {scale:.3e}")
-    backend = backend or DEFAULT_EIGEN_BACKEND
-    if backend == "lapack":
-        return np.linalg.eigvalsh(A)
-    if backend == "householder_ql":
-        H = 0.5 * (A + A.conj().T)
-        d, e = _tridiagonalize(H)
-        return _ql_implicit(d, e)
-    raise ValueError(f"unknown eigensolver backend {backend!r}")
+    return np.linalg.eigvalsh(A)
 
 
 def dedup_pairs(eigs: np.ndarray, tol: float):
@@ -231,8 +131,8 @@ def dedup_pairs(eigs: np.ndarray, tol: float):
     Raises
     ------
     PairingError
-        If the list has odd length or the residual exceeds ``tol`` (a
-        non-quaternionic input or an eigensolver failure).
+        If the list has odd length or the residual is not within ``tol`` (a
+        non-quaternionic input, a NaN eigenvalue or an eigensolver failure).
     """
     eigs = np.asarray(eigs, dtype=float)
     if eigs.size % 2:
@@ -241,7 +141,7 @@ def dedup_pairs(eigs: np.ndarray, tol: float):
         return np.empty(0), 0.0
     gaps = eigs[1::2] - eigs[0::2]
     residual = float(np.max(np.abs(gaps))) / max(1.0, float(np.max(np.abs(eigs))))
-    if residual > tol:
+    if not residual <= tol:
         raise PairingError(
             f"pairing residual {residual:.3e} exceeds tolerance {tol:.3e}")
     return eigs[0::2].copy(), residual
@@ -257,9 +157,8 @@ class SpectralSample:
     pairing_residual: float
 
     @classmethod
-    def from_matrix(cls, w: SelfDualMatrix, tol: float = 1e-8,
-                    backend: Optional[str] = None) -> "SpectralSample":
-        full = hermitian_eigenvalues(embed(w), backend=backend)
+    def from_matrix(cls, w: SelfDualMatrix, tol: float = 1e-8) -> "SpectralSample":
+        full = hermitian_eigenvalues(embed(w))
         dedup, residual = dedup_pairs(full, tol)
         return cls(n=w.n, eigenvalues_full=full, eigenvalues_dedup=dedup,
                    pairing_residual=residual)
@@ -341,11 +240,9 @@ def semicircle_stieltjes(z: complex) -> complex:
     Raises
     ------
     DomainError
-        If ``Im z <= 0``.
+        If ``z`` is not finite or ``Im z <= 0``.
     """
-    z = complex(z)
-    if z.imag <= 0:
-        raise DomainError(f"Im z must be positive, got {z}")
+    z = _upper_half_plane(z)
     root = np.sqrt(complex(z * z - 4.0))
     for w in (root, -root):
         s = (-z + w) / 2.0
@@ -361,9 +258,7 @@ def empirical_stieltjes(sample, z: complex) -> StieltjesPoint:
     used) or a plain array of eigenvalues.  Equals the normalized trace of
     the resolvent of the embedded matrix.
     """
-    z = complex(z)
-    if z.imag <= 0:
-        raise DomainError(f"Im z must be positive, got {z}")
+    z = _upper_half_plane(z)
     eigs = sample.eigenvalues_full if isinstance(sample, SpectralSample) \
         else np.asarray(sample, dtype=float)
     value = complex(np.mean(1.0 / (eigs - z)))
@@ -434,8 +329,8 @@ def levy_distance(f: ESD, g, tol: float = 1e-6) -> float:
 def resolvent(m, z: complex) -> BlockMatrix:
     """Dense resolvent ``(m - z I)^{-1}`` for ``Im z != 0``."""
     z = complex(z)
-    if z.imag == 0:
-        raise DomainError(f"z must lie off the real axis, got {z}")
+    if not (cmath.isfinite(z) and z.imag != 0):
+        raise DomainError(f"z must be finite and off the real axis, got {z}")
     A = _as_values(m)
     shifted = A - z * np.eye(A.shape[0], dtype=complex)
     return BlockMatrix(np.linalg.solve(shifted, np.eye(A.shape[0], dtype=complex)))
@@ -471,9 +366,7 @@ def resolvent_structure_check(w: SelfDualMatrix, z: complex,
     identity (the two resolvent diagonal entries of each pair coincide).
     Failures are reported, not raised.
     """
-    z = complex(z)
-    if z.imag <= 0:
-        raise DomainError(f"Im z must be positive, got {z}")
+    z = _upper_half_plane(z)
     report: StructureReport = classify(resolvent(embed(w), z), tol)
     passed = report.passes("TypeI")
     return ResolventStructureReport(
@@ -511,10 +404,8 @@ def trace_minor_check(w: SelfDualMatrix, z: complex) -> TraceMinorReport:
     ``R_k`` is the resolvent of the embedding with quaternion row and column
     ``k`` removed (two complex rows and columns).
     """
-    z = complex(z)
+    z = _upper_half_plane(z)
     upsilon = z.imag
-    if upsilon <= 0:
-        raise DomainError(f"Im z must be positive, got {z}")
     A = embed(w).values
     n = w.n
     tr_full = np.trace(resolvent(A, z).values)

@@ -139,41 +139,78 @@ def is_type_t(b: np.ndarray, tol: float) -> bool:
     )
 
 
-def d_partner(p: np.ndarray) -> np.ndarray:
-    """The d-mirror ``[[p22, -p12], [-p21, p11]]`` of a 2x2 block."""
+def _as_blocks(p) -> np.ndarray:
     p = np.asarray(p, dtype=complex)
-    return np.array([[p[1, 1], -p[0, 1]], [-p[1, 0], p[0, 0]]])
+    if p.shape[-2:] != (2, 2):
+        raise DecompositionError(f"expected a 2x2 block, got shape {p.shape}")
+    return p
+
+
+def _split(p: np.ndarray) -> tuple:
+    """Coefficients ``b1, c1, b2, c2`` of the canonical split ``p = B + C*1j``.
+
+    ``B = [[b1, b2], [-conj(b2), conj(b1)]]`` and ``C`` likewise, computed
+    blockwise over a ``(..., 2, 2)`` stack.
+    """
+    p = _as_blocks(p)
+    if not np.all(np.isfinite(p)):
+        raise DecompositionError("block entries must be finite")
+    b1 = (p[..., 0, 0] + p[..., 1, 1].conj()) / 2
+    c1 = (p[..., 0, 0] - p[..., 1, 1].conj()) / 2j
+    b2 = (p[..., 0, 1] - p[..., 1, 0].conj()) / 2
+    c2 = (p[..., 0, 1] + p[..., 1, 0].conj()) / 2j
+    return b1, c1, b2, c2
+
+
+def _quaternion_shaped(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Blocks ``[[x, y], [-conj(y), conj(x)]]``, stacked like ``x``."""
+    return np.stack([np.stack([x, y], axis=-1),
+                     np.stack([-y.conj(), x.conj()], axis=-1)], axis=-2)
+
+
+def d_partner(p: np.ndarray) -> np.ndarray:
+    """The d-mirror ``[[p22, -p12], [-p21, p11]]`` of a 2x2 block.
+
+    Applies blockwise to a ``(..., 2, 2)`` stack.
+    """
+    p = _as_blocks(p)
+    out = np.empty_like(p)
+    out[..., 0, 0] = p[..., 1, 1]
+    out[..., 0, 1] = -p[..., 0, 1]
+    out[..., 1, 0] = -p[..., 1, 0]
+    out[..., 1, 1] = p[..., 0, 0]
+    return out
 
 
 def quaternion_parts(p: np.ndarray) -> tuple:
-    """Split a 2x2 complex block as ``p = B + C*1j`` with quaternion-shaped parts.
+    """Split 2x2 complex blocks as ``p = B + C*1j`` with quaternion-shaped parts.
 
     Quaternion-shaped means ``[[x, y], [-conj(y), conj(x)]]``.  The split is
     unique: the 8 real degrees of freedom of ``p`` match the 4+4 of ``(B, C)``.
+    Applies blockwise to a ``(..., 2, 2)`` stack.
 
     Raises
     ------
     DecompositionError
-        If ``p`` is not a finite 2x2 block.
+        If ``p`` is not a finite 2x2 block or stack of them.
     """
-    p = np.asarray(p, dtype=complex)
-    if p.shape != (2, 2):
-        raise DecompositionError(f"expected a 2x2 block, got shape {p.shape}")
-    if not np.all(np.isfinite(p)):
-        raise DecompositionError("block entries must be finite")
-    b1 = (p[0, 0] + p[1, 1].conjugate()) / 2
-    c1 = (p[0, 0] - p[1, 1].conjugate()) / 2j
-    b2 = (p[0, 1] - p[1, 0].conjugate()) / 2
-    c2 = (p[0, 1] + p[1, 0].conjugate()) / 2j
-    B = np.array([[b1, b2], [-b2.conjugate(), b1.conjugate()]])
-    C = np.array([[c1, c2], [-c2.conjugate(), c1.conjugate()]])
-    return B, C
+    b1, c1, b2, c2 = _split(p)
+    return _quaternion_shaped(b1, b2), _quaternion_shaped(c1, c2)
 
 
 def u_partner(p: np.ndarray) -> np.ndarray:
-    """The u-mirror ``B^* + C^* * 1j`` of ``p = B + C*1j`` (canonical split)."""
-    B, C = quaternion_parts(p)
-    return B.conj().T + 1j * C.conj().T
+    """The u-mirror ``B^* + C^* * 1j`` of ``p = B + C*1j`` (canonical split).
+
+    Applies blockwise to a ``(..., 2, 2)`` stack; raises
+    :class:`DecompositionError` like :func:`quaternion_parts`.
+    """
+    b1, c1, b2, c2 = _split(p)
+    out = np.empty(np.shape(b1) + (2, 2), dtype=complex)
+    out[..., 0, 0] = b1.conj() + 1j * c1.conj()
+    out[..., 0, 1] = -b2 - 1j * c2
+    out[..., 1, 0] = b2.conj() + 1j * c2.conj()
+    out[..., 1, 1] = b1 + 1j * c1
+    return out
 
 
 def d_related(p: np.ndarray, q: np.ndarray, tol: float) -> bool:
@@ -190,28 +227,6 @@ def u_related(p: np.ndarray, q: np.ndarray, tol: float) -> bool:
         raise ValueError("tol must be nonnegative")
     q = np.asarray(q, dtype=complex)
     return bool(np.max(np.abs(q - u_partner(p))) <= tol)
-
-
-def _d_partners(blocks: np.ndarray) -> np.ndarray:
-    out = np.empty_like(blocks)
-    out[..., 0, 0] = blocks[..., 1, 1]
-    out[..., 0, 1] = -blocks[..., 0, 1]
-    out[..., 1, 0] = -blocks[..., 1, 0]
-    out[..., 1, 1] = blocks[..., 0, 0]
-    return out
-
-
-def _u_partners(blocks: np.ndarray) -> np.ndarray:
-    b1 = (blocks[..., 0, 0] + blocks[..., 1, 1].conj()) / 2
-    c1 = (blocks[..., 0, 0] - blocks[..., 1, 1].conj()) / 2j
-    b2 = (blocks[..., 0, 1] - blocks[..., 1, 0].conj()) / 2
-    c2 = (blocks[..., 0, 1] + blocks[..., 1, 0].conj()) / 2j
-    out = np.empty_like(blocks)
-    out[..., 0, 0] = b1.conj() + 1j * c1.conj()
-    out[..., 0, 1] = -b2 - 1j * c2
-    out[..., 1, 0] = b2.conj() + 1j * c2.conj()
-    out[..., 1, 1] = b1 + 1j * c1
-    return out
 
 
 def classify(m, tol: float) -> StructureReport:
@@ -240,8 +255,8 @@ def classify(m, tol: float) -> StructureReport:
     ) / denom
 
     transposed = blocks.swapaxes(0, 1)  # [j, k] -> block (k, j)
-    d_dev = np.abs(transposed - _d_partners(blocks)).max(axis=(2, 3)) / denom
-    u_dev = np.abs(transposed - _u_partners(blocks)).max(axis=(2, 3)) / denom
+    d_dev = np.abs(transposed - d_partner(blocks)).max(axis=(2, 3)) / denom
+    u_dev = np.abs(transposed - u_partner(blocks)).max(axis=(2, 3)) / denom
     off = ~np.eye(n, dtype=bool)
 
     diag_res = float(diag_dev.max())
@@ -305,20 +320,18 @@ def make_type2(n: int, t: np.ndarray, coeffs: np.ndarray) -> BlockMatrix:
         triangle of ``coeffs`` is read.
     """
     t = np.asarray(t, dtype=complex)
-    coeffs = np.asarray(coeffs, dtype=complex)
+    j, k = np.triu_indices(n, 1)
+    a, b, c, d = np.moveaxis(np.asarray(coeffs, dtype=complex)[j, k], -1, 0)
+    upper = np.empty((j.size, 2, 2), dtype=complex)
+    upper[:, 0, 0] = a + 1j * c
+    upper[:, 0, 1] = b + 1j * d
+    upper[:, 1, 0] = -b.conj() - 1j * d.conj()
+    upper[:, 1, 1] = a.conj() + 1j * c.conj()
     blocks = np.zeros((n, n, 2, 2), dtype=complex)
     blocks[np.arange(n), np.arange(n), 0, 0] = t
     blocks[np.arange(n), np.arange(n), 1, 1] = t
-    for j in range(n):
-        for k in range(j + 1, n):
-            a, b, c, d = coeffs[j, k]
-            p = np.array([
-                [a + 1j * c, b + 1j * d],
-                [-b.conjugate() - 1j * d.conjugate(),
-                 a.conjugate() + 1j * c.conjugate()],
-            ])
-            blocks[j, k] = p
-            blocks[k, j] = u_partner(p)
+    blocks[j, k] = upper
+    blocks[k, j] = u_partner(upper)
     return BlockMatrix.from_blocks(blocks)
 
 

@@ -87,3 +87,23 @@ def gse_tail_second_moment_by_quadrature(c: float) -> float:
         return (t / 4.0) * (t * np.exp(-t / 2.0) / 4.0)
     val, _ = quad(integrand, 4.0 * c * c, np.inf, limit=200)
     return val
+
+
+def type2_by_loop(n: int, t: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
+    """Dense Type-II matrix from ``make_type2``'s parameters, one block pair at a time.
+
+    Block ``(j, k)``, ``j < k``, is ``B + C*1j`` with the quaternion-shaped
+    parts ``B = [[a, b], [-conj(b), conj(a)]]`` and ``C`` likewise from
+    ``(c, d)``; block ``(k, j)`` is its u-mirror ``B^* + C^* * 1j``, taken
+    from these parts rather than by splitting the assembled block.
+    """
+    out = np.zeros((2 * n, 2 * n), dtype=complex)
+    for j in range(n):
+        out[2 * j:2 * j + 2, 2 * j:2 * j + 2] = t[j] * np.eye(2)
+        for k in range(j + 1, n):
+            a, b, c, d = coeffs[j, k]
+            B = np.array([[a, b], [-np.conj(b), np.conj(a)]])
+            C = np.array([[c, d], [-np.conj(d), np.conj(c)]])
+            out[2 * j:2 * j + 2, 2 * k:2 * k + 2] = B + 1j * C
+            out[2 * k:2 * k + 2, 2 * j:2 * j + 2] = B.conj().T + 1j * C.conj().T
+    return out

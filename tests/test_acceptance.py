@@ -186,7 +186,7 @@ def test_criterion_7_inequality_suite():
         eta = float(rng.uniform(0.25, 1.0))
         spec = EnsembleSpec(n=n, distribution=dist, seed=int(rng.integers(2**32)),
                             eta=EtaSchedule("constant", eta))
-        for entry in check_pipeline_bounds(spec, which="both"):
+        for entry in check_pipeline_bounds(spec):
             if "levy_ok" in entry:
                 levy_checks += 1
                 violations += 0 if entry["levy_ok"] else 1

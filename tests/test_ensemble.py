@@ -198,6 +198,9 @@ def test_lindeberg_vanishing_eta_sequence_decreases():
 def test_lindeberg_requires_positive_eta():
     with pytest.raises(ValueError):
         lindeberg_statistic(gse_spec(10, 0), eta=0.0)
+    for eta in (math.nan, math.inf):
+        with pytest.raises(SpecError):
+            lindeberg_statistic(gse_spec(10, 0), eta=eta)
 
 
 # ---------------------------------------------------------------------------
@@ -246,6 +249,10 @@ def test_truncate_gse_tail_count_is_tiny():
 def test_truncate_rejects_nonpositive_eta():
     with pytest.raises(ValueError):
         truncate(sample_gse(4, 0), eta_n=0.0)
+    # a NaN level compares False against every norm and would truncate nothing
+    for eta_n in (math.nan, math.inf):
+        with pytest.raises(SpecError):
+            truncate(sample_gse(4, 0), eta_n=eta_n)
 
 
 def test_zero_diagonal_bounds():

@@ -259,6 +259,12 @@ def test_cli_verify_exit_codes(tmp_path):
     assert main(["verify", "--config", str(cfg_path)]) == 1
 
 
+def test_cli_user_errors_exit_code_two(capsys):
+    assert main(["sample", "--n", "0"]) == 2
+    assert main(["pipeline", "--n", "4", "--eta-exponent", "nan"]) == 2
+    assert "error:" in capsys.readouterr().err
+
+
 def test_cli_bad_config_exit_code(tmp_path):
     missing = tmp_path / "missing.json"
     assert main(["sweep", "--config", str(missing)]) == 2

@@ -14,6 +14,8 @@ from quatspectra.spectra import (ESD, DomainError, NotHermitianError,
                                  resolvent_structure_check, semicircle_cdf,
                                  semicircle_pdf, semicircle_stieltjes,
                                  trace_minor_check)
+from quatspectra.experiment import (ConfigError, ExperimentConfig,
+                                    default_verify_config)
 from quatspectra.structure import classify
 
 from oracles import (eigenvalues_by_bisection, semicircle_cdf_by_quadrature,
@@ -53,9 +55,7 @@ def test_embedding_shifted_is_type2():
 
 def test_eigenvalues_of_diagonal():
     m = np.diag([4.0, 2.0, 1.0, 3.0]).astype(complex)
-    for backend in ("lapack", "householder_ql"):
-        assert np.allclose(hermitian_eigenvalues(m, backend=backend),
-                           [1, 2, 3, 4], atol=1e-14)
+    assert np.allclose(hermitian_eigenvalues(m), [1, 2, 3, 4], atol=1e-14)
 
 
 def test_eigenvalues_scalar_self_dual():
@@ -67,19 +67,17 @@ def test_eigenvalues_match_inertia_bisection_oracle():
     w = sample_gse(6, seed=3)
     A = embed(w).values
     oracle = eigenvalues_by_bisection(A)
-    for backend in ("lapack", "householder_ql"):
-        got = hermitian_eigenvalues(A, backend=backend)
-        assert np.max(np.abs(got - oracle)) <= 1e-9
+    assert np.max(np.abs(hermitian_eigenvalues(A) - oracle)) <= 1e-9
 
 
-def test_eigenvalue_backends_agree_on_general_hermitian():
+def test_eigenvalues_match_bisection_on_general_hermitian():
     rng = np.random.default_rng(4)
     for n in (1, 2, 3, 7, 30):
         A = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
         A = (A + A.conj().T) / 2
-        a = hermitian_eigenvalues(A, backend="lapack")
-        b = hermitian_eigenvalues(A, backend="householder_ql")
-        assert np.max(np.abs(a - b)) <= 1e-12 * max(1.0, np.abs(a).max())
+        a = hermitian_eigenvalues(A)
+        b = eigenvalues_by_bisection(A)
+        assert np.max(np.abs(a - b)) <= 1e-10 * max(1.0, np.abs(a).max())
         assert a.sum() == pytest.approx(np.trace(A).real, abs=1e-9 * max(1, n))
 
 
@@ -88,8 +86,14 @@ def test_eigenvalues_reject_non_hermitian():
         hermitian_eigenvalues(np.array([[0.0, 1.0], [0.0, 0.0]]))
     with pytest.raises(ValueError):
         hermitian_eigenvalues(np.zeros((2, 3)))
-    with pytest.raises(ValueError):
-        hermitian_eigenvalues(np.eye(2), backend="magic")
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_eigenvalues_reject_non_finite(bad):
+    # NaN compares False with any tolerance, so the residual test alone
+    # cannot catch it.
+    with pytest.raises(NotHermitianError):
+        hermitian_eigenvalues(np.diag([bad, 1.0, 1.0, 1.0]))
 
 
 def test_trace_identity_zero_diagonal():
@@ -123,6 +127,11 @@ def test_dedup_rejects_unpaired_spectrum():
         dedup_pairs(np.array([1.0, 2.0, 3.0, 4.0]), tol=1e-8)
     with pytest.raises(PairingError):
         dedup_pairs(np.array([1.0, 2.0, 3.0]), tol=1e-8)
+
+
+def test_dedup_rejects_nan_spectrum():
+    with pytest.raises(PairingError):
+        dedup_pairs(np.array([math.nan, math.nan, 1.0, 1.0]), tol=1e-8)
 
 
 def test_pair_degeneracy_of_sampled_ensembles():
@@ -352,6 +361,28 @@ def test_resolvent_structure_gse_and_rademacher():
 def test_resolvent_structure_domain():
     with pytest.raises(DomainError):
         resolvent_structure_check(sample_gse(3, 0), 1 - 1j)
+
+
+def _config_with_z(z):
+    obj = default_verify_config().to_json()
+    obj["z_grid"] = [[z.real, z.imag]]
+    return ExperimentConfig.from_json(obj)
+
+
+@pytest.mark.parametrize("z", [complex(0, math.nan), complex(math.nan, 1),
+                               complex(0, math.inf)], ids=["nan_im", "nan_re", "inf_im"])
+@pytest.mark.parametrize("call, error", [
+    (semicircle_stieltjes, DomainError),
+    (lambda z: empirical_stieltjes(np.array([1.0, 1.0]), z), DomainError),
+    (lambda z: resolvent(np.eye(2), z), DomainError),
+    (lambda z: resolvent_structure_check(sample_gse(3, 0), z), DomainError),
+    (lambda z: trace_minor_check(sample_gse(3, 0), z), DomainError),
+    (_config_with_z, ConfigError),
+], ids=["semicircle_stieltjes", "empirical_stieltjes", "resolvent",
+        "resolvent_structure_check", "trace_minor_check", "config"])
+def test_non_finite_spectral_parameter_is_rejected(call, error, z):
+    with pytest.raises(error):
+        call(z)
 
 
 def test_trace_minor_small_case():

@@ -11,6 +11,8 @@ from quatspectra.structure import (BlockMatrix, DecompositionError,
                                    quaternion_parts, schur_block_inverse,
                                    u_partner, u_related, verify_type2_inverse)
 
+from oracles import type2_by_loop
+
 complex_entry = st.builds(complex,
                           st.floats(-10, 10, allow_nan=False),
                           st.floats(-10, 10, allow_nan=False))
@@ -97,6 +99,29 @@ def test_u_and_d_mirrors_coincide(p):
     # involution; keeping both computations lets them cross-check each other.
     assert np.max(np.abs(u_partner(p) - d_partner(p))) \
         <= 1e-12 * max(1.0, np.abs(p).max())
+
+
+def test_mirrors_of_a_stack_are_blockwise():
+    rng = np.random.default_rng(21)
+    stack = rng.standard_normal((3, 4, 2, 2)) + 1j * rng.standard_normal((3, 4, 2, 2))
+    for mirror in (d_partner, u_partner):
+        out = mirror(stack)
+        assert out.shape == stack.shape
+        for idx in np.ndindex(3, 4):
+            assert np.array_equal(out[idx], mirror(stack[idx]))
+    B, C = quaternion_parts(stack)
+    assert np.array_equal(B[1, 2], quaternion_parts(stack[1, 2])[0])
+    assert np.array_equal(C[1, 2], quaternion_parts(stack[1, 2])[1])
+
+
+def test_make_type2_matches_blockwise_loop():
+    rng = np.random.default_rng(22)
+    for n in range(1, 9):
+        t = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        coeffs = rng.standard_normal((n, n, 4)) + 1j * rng.standard_normal((n, n, 4))
+        got = make_type2(n, t, coeffs).values
+        want = type2_by_loop(n, t, coeffs)
+        assert np.max(np.abs(got - want)) <= 4 * np.finfo(float).eps * np.abs(want).max()
 
 
 @given(blocks_2x2)
@@ -202,6 +227,13 @@ def test_classify_perturbed_diagonal_block_is_none():
     assert report.classification == "None"
     assert report.max_residual > tol
     assert report.witness[:2] == (1, 1)
+
+
+def test_classify_rejects_non_finite():
+    A = np.eye(6, dtype=complex)
+    A[0, 0] = np.nan
+    with pytest.raises(DecompositionError):
+        classify(A, tol=1e-8)
 
 
 def test_classify_none_iff_residual_exceeds_tol():
