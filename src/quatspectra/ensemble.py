@@ -399,6 +399,12 @@ class EnsembleSpec:
     def validate(self) -> None:
         if self.n < 1:
             raise SpecError(f"dimension must be positive, got {self.n}")
+        eta = self.eta
+        if eta.kind not in ("power", "constant"):
+            raise SpecError(f"unknown eta schedule kind {eta.kind!r}")
+        if not math.isfinite(eta.value) or (eta.kind == "constant" and not eta.value > 0):
+            raise SpecError(f"eta schedule value must be finite (and positive when "
+                            f"constant), got {eta.kind} {eta.value}")
         self.distribution.validate()
 
     def eta_n(self) -> float:

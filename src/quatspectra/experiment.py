@@ -20,8 +20,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional
 
-import numpy as np
-
 from . import spectra
 from .ensemble import (EnsembleSpec, EtaSchedule, SelfDualMatrix,
                        run_pipeline, sample_general)
@@ -58,13 +56,9 @@ def trial_seed(seed: int, n: int, trial: int) -> int:
     return int.from_bytes(digest[:8], "little")
 
 
-def _fmt_part(x: float) -> str:
-    return f"{x:g}"
-
-
 def stieltjes_label(z: complex) -> str:
     """CSV column label for the transform error at ``z``."""
-    return f"serr_re{_fmt_part(z.real)}_im{_fmt_part(z.imag)}"
+    return f"serr_re{z.real:g}_im{z.imag:g}"
 
 
 @dataclass
@@ -199,6 +193,32 @@ def _trial_spec(config: ExperimentConfig, n: int, trial: int) -> EnsembleSpec:
     )
 
 
+# Sweep message of a failed resolvent check, filled from its failure fields.
+_SWEEP_FAILURE = {
+    "resolvent_structure": "residual {residual:.3e}",
+    "trace_minor": "max {max_difference:.3e} > bound {bound:.3e}",
+}
+
+
+def _resolvent_checks(w: SelfDualMatrix, config: ExperimentConfig, names):
+    """Run the resolvent checks listed in ``names`` on ``w`` at each grid point.
+
+    Yields ``(name, z, passed, value, failure)``: ``value`` is the Type-I
+    residual or the largest trace-minor difference over its bound, and
+    ``failure`` holds the fields a failure report carries.
+    """
+    if "resolvent_structure" in names:
+        for z in config.z_grid:
+            report = resolvent_structure_check(w, z, config.check_tol)
+            yield ("resolvent_structure", z, report.passed, report.max_residual,
+                   {"residual": report.max_residual})
+    if "trace_minor" in names:
+        for z in config.z_grid:
+            report = trace_minor_check(w, z)
+            yield ("trace_minor", z, report.passed, report.max_difference / report.bound,
+                   {"max_difference": report.max_difference, "bound": report.bound})
+
+
 def _run_trial(payload) -> ConvergenceRow:
     config_json, n, trial, hist_dir = payload
     config = ExperimentConfig.from_json(config_json)
@@ -222,19 +242,9 @@ def _run_trial(payload) -> ConvergenceRow:
 
     failures = []
     try:
-        if "resolvent_structure" in config.checks:
-            for z in config.z_grid:
-                report = resolvent_structure_check(w, z, config.check_tol)
-                if not report.passed:
-                    failures.append(
-                        f"resolvent_structure z={z}: residual {report.max_residual:.3e}")
-        if "trace_minor" in config.checks:
-            for z in config.z_grid:
-                report = trace_minor_check(w, z)
-                if not report.passed:
-                    failures.append(
-                        f"trace_minor z={z}: max {report.max_difference:.3e} "
-                        f"> bound {report.bound:.3e}")
+        for name, z, passed, _, failure in _resolvent_checks(w, config, config.checks):
+            if not passed:
+                failures.append(f"{name} z={z}: " + _SWEEP_FAILURE[name].format(**failure))
     except Exception as exc:  # never abort the sweep
         failures.append(f"check error: {exc}")
 
@@ -354,48 +364,6 @@ def _check_type2_inverse(config: ExperimentConfig) -> CheckResult:
     )
 
 
-def _check_resolvent_structure(config: ExperimentConfig) -> CheckResult:
-    worst = 0.0
-    failures = []
-    count = 0
-    for _, spec in _draws(config):
-        w = sample_general(spec)
-        for z in config.z_grid:
-            report = resolvent_structure_check(w, z, config.check_tol)
-            worst = max(worst, report.max_residual)
-            count += 1
-            if not report.passed:
-                failures.append({"n": spec.n, "seed": spec.seed,
-                                 "z": [complex(z).real, complex(z).imag],
-                                 "residual": report.max_residual})
-    return CheckResult("resolvent_structure", not failures,
-                       {"checks": count, "max_residual": worst, "failures": failures})
-
-
-def _check_trace_minor(config: ExperimentConfig) -> CheckResult:
-    failures = []
-    worst_ratio = 0.0
-    count = 0
-    for _, spec in _draws(config):
-        w = sample_general(spec)
-        for z in config.z_grid:
-            report = trace_minor_check(w, z)
-            worst_ratio = max(worst_ratio, report.max_difference / report.bound)
-            count += 1
-            if not report.passed:
-                failures.append({"n": spec.n, "seed": spec.seed,
-                                 "z": [complex(z).real, complex(z).imag],
-                                 "max_difference": report.max_difference,
-                                 "bound": report.bound})
-    return CheckResult("trace_minor", not failures,
-                       {"checks": count, "worst_ratio": worst_ratio,
-                        "failures": failures})
-
-
-def _stage_esd(w: SelfDualMatrix) -> ESD:
-    return ESD(spectra.hermitian_eigenvalues(spectra.embed(w)))
-
-
 def check_pipeline_bounds(spec: EnsembleSpec):
     """Run the pipeline once and verify its recorded Levy/rank bounds.
 
@@ -407,19 +375,17 @@ def check_pipeline_bounds(spec: EnsembleSpec):
     the recorded rank bound.
     """
     _, trace = run_pipeline(spec, keep_matrices=True)
-    esds = [_stage_esd(m) for _, m in trace.matrices]
+    esds = [ESD(spectra.hermitian_eigenvalues(spectra.embed(m)))
+            for _, m in trace.matrices]
     outcomes = []
-    for i, record in enumerate(trace.stages):
-        prev = esds[i]
-        cur = esds[i + 1]
+    for record, prev, cur in zip(trace.stages, esds, esds[1:]):
         entry = {"stage": record.name}
         dist = levy_distance(prev, cur)
         entry["levy"] = dist
         entry["levy_cube_bound"] = record.levy_cube_bound
         entry["levy_ok"] = dist**3 <= record.levy_cube_bound + 4e-6
         if record.name == "truncate":
-            grid = np.concatenate([prev.points, cur.points])
-            sup = float(np.max(np.abs(prev.cdf(grid) - cur.cdf(grid))))
+            sup = spectra._ks_two_esds(prev, cur)
             entry["sup_distance"] = sup
             entry["rank_bound"] = record.rank_bound
             entry["rank_ok"] = sup <= record.rank_bound + 1e-9
@@ -427,38 +393,52 @@ def check_pipeline_bounds(spec: EnsembleSpec):
     return outcomes
 
 
-def _check_bounds(config: ExperimentConfig, which: str) -> CheckResult:
-    key = "levy_ok" if which == "levy" else "rank_ok"
-    failures = []
-    count = 0
-    for _, spec in _draws(config):
-        for entry in check_pipeline_bounds(spec):
-            if key in entry:
-                count += 1
-                if not entry[key]:
-                    failures.append({"n": spec.n, "seed": spec.seed, **entry})
-    return CheckResult(f"{which}_bounds", not failures,
-                       {"checks": count, "failures": failures})
+# Per-draw checks: the report key of their worst value, if they have one.
+_WORST_KEYS = {"resolvent_structure": "max_residual", "trace_minor": "worst_ratio"}
+# The bound checks: the outcome key each reads from check_pipeline_bounds.
+_BOUND_KEYS = {"levy_bounds": "levy_ok", "rank_bounds": "rank_ok"}
 
 
 def verify(config: ExperimentConfig) -> VerificationReport:
-    """Run the configured structural checks; failures are reported, not raised."""
+    """Run the configured structural checks; failures are reported, not raised.
+
+    Every check but ``type2_inverse`` runs on the draws of ``config``, in
+    one pass: each draw is sampled once for the resolvent checks and goes
+    through the pipeline once for both bound checks.
+    """
     config.validate()
     checks = config.checks or KNOWN_CHECKS
+    per_draw = [name for name in checks if name != "type2_inverse"]
+    counts = dict.fromkeys(per_draw, 0)
+    worst = dict.fromkeys(per_draw, 0.0)
+    failures = {name: [] for name in per_draw}
+    for _, spec in _draws(config):
+        if _WORST_KEYS.keys() & counts.keys():
+            w = sample_general(spec)
+            for name, z, passed, value, failure in _resolvent_checks(w, config, checks):
+                counts[name] += 1
+                worst[name] = max(worst[name], value)
+                if not passed:
+                    failures[name].append({"n": spec.n, "seed": spec.seed,
+                                           "z": [complex(z).real, complex(z).imag],
+                                           **failure})
+        if _BOUND_KEYS.keys() & counts.keys():
+            for entry in check_pipeline_bounds(spec):
+                for name, key in _BOUND_KEYS.items():
+                    if name in counts and key in entry:
+                        counts[name] += 1
+                        if not entry[key]:
+                            failures[name].append({"n": spec.n, "seed": spec.seed, **entry})
     results = []
     for name in checks:
         if name == "type2_inverse":
             results.append(_check_type2_inverse(config))
-        elif name == "resolvent_structure":
-            results.append(_check_resolvent_structure(config))
-        elif name == "trace_minor":
-            results.append(_check_trace_minor(config))
-        elif name == "levy_bounds":
-            results.append(_check_bounds(config, "levy"))
-        elif name == "rank_bounds":
-            results.append(_check_bounds(config, "rank"))
-        else:
-            raise ConfigError(f"unknown check {name!r}")
+            continue
+        details = {"checks": counts[name]}
+        if name in _WORST_KEYS:
+            details[_WORST_KEYS[name]] = worst[name]
+        details["failures"] = failures[name]
+        results.append(CheckResult(name, not failures[name], details))
     return VerificationReport(checks=results)
 
 

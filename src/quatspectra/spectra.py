@@ -183,6 +183,8 @@ class ESD:
         self.points = np.sort(np.asarray(values, dtype=float))
         if self.points.size == 0:
             raise ValueError("ESD needs at least one support point")
+        if not np.all(np.isfinite(self.points)):
+            raise ValueError("ESD support points must be finite")
 
     def cdf(self, x):
         """F(x) = fraction of points <= x (right-continuous)."""
@@ -265,14 +267,17 @@ def empirical_stieltjes(sample, z: complex) -> StieltjesPoint:
     return StieltjesPoint(z=z, value=value)
 
 
-def kolmogorov_distance(e: ESD, sigma: float = 1.0) -> float:
-    """Sup distance between an ESD and the semicircle CDF (both one-sided limits)."""
-    s = e.points
-    n = s.size
-    ref = semicircle_cdf(s, sigma)
+def _ks_to_cdf(f: ESD, ref: np.ndarray) -> float:
+    """Sup distance between ``f`` and a continuous CDF with values ``ref`` at ``f.points``."""
+    n = f.points.size
     upper = np.arange(1, n + 1) / n - ref
     lower = ref - np.arange(0, n) / n
     return float(max(upper.max(), lower.max(), 0.0))
+
+
+def kolmogorov_distance(e: ESD, sigma: float = 1.0) -> float:
+    """Sup distance between an ESD and the semicircle CDF (both one-sided limits)."""
+    return _ks_to_cdf(e, semicircle_cdf(e.points, sigma))
 
 
 def _ks_two_esds(f: ESD, g: ESD) -> float:
@@ -306,10 +311,7 @@ def levy_distance(f: ESD, g, tol: float = 1e-6) -> float:
         hi = _ks_two_esds(f, g)
     else:
         g_points = None
-        ref = np.asarray(g(f.points), dtype=float)
-        n = f.points.size
-        hi = float(max((np.arange(1, n + 1) / n - ref).max(),
-                       (ref - np.arange(0, n) / n).max(), 0.0))
+        hi = _ks_to_cdf(f, np.asarray(g(f.points), dtype=float))
     lo = 0.0
     if hi <= tol:
         return hi

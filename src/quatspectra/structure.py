@@ -129,21 +129,28 @@ class StructureReport:
         return name in self.passing
 
 
-def is_type_t(b: np.ndarray, tol: float) -> bool:
-    """True when the 2x2 block is a scalar multiple of the identity, within ``tol``."""
-    if tol < 0:
-        raise ValueError("tol must be nonnegative")
-    b = np.asarray(b, dtype=complex)
-    return bool(
-        abs(b[0, 1]) <= tol and abs(b[1, 0]) <= tol and abs(b[0, 0] - b[1, 1]) <= tol
-    )
-
-
 def _as_blocks(p) -> np.ndarray:
     p = np.asarray(p, dtype=complex)
     if p.shape[-2:] != (2, 2):
         raise DecompositionError(f"expected a 2x2 block, got shape {p.shape}")
     return p
+
+
+def _type_t_deviation(b) -> np.ndarray:
+    """``max(|b01|, |b10|, |b00 - b11|)`` of each block of a ``(..., 2, 2)`` stack."""
+    b = _as_blocks(b)
+    return np.maximum(np.maximum(np.abs(b[..., 0, 1]), np.abs(b[..., 1, 0])),
+                      np.abs(b[..., 0, 0] - b[..., 1, 1]))
+
+
+def is_type_t(b: np.ndarray, tol: float) -> bool:
+    """True when the 2x2 block is a scalar multiple of the identity, within ``tol``.
+
+    A ``(..., 2, 2)`` stack is true when every block is.
+    """
+    if tol < 0:
+        raise ValueError("tol must be nonnegative")
+    return bool(np.all(_type_t_deviation(b) <= tol))
 
 
 def _split(p: np.ndarray) -> tuple:
@@ -249,10 +256,7 @@ def classify(m, tol: float) -> StructureReport:
     denom = scale if scale > 0 else 1.0
 
     diag = blocks[np.arange(n), np.arange(n)]
-    diag_dev = np.maximum(
-        np.maximum(np.abs(diag[:, 0, 1]), np.abs(diag[:, 1, 0])),
-        np.abs(diag[:, 0, 0] - diag[:, 1, 1]),
-    ) / denom
+    diag_dev = _type_t_deviation(diag) / denom
 
     transposed = blocks.swapaxes(0, 1)  # [j, k] -> block (k, j)
     d_dev = np.abs(transposed - d_partner(blocks)).max(axis=(2, 3)) / denom

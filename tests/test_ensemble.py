@@ -159,6 +159,22 @@ def test_eta_schedule():
         EtaSchedule("exp", 1.0).eta(10)
 
 
+@pytest.mark.parametrize("eta", [
+    EtaSchedule("power", math.nan),
+    EtaSchedule("power", math.inf),
+    EtaSchedule("constant", -1.0),
+    EtaSchedule("constant", 0.0),
+    EtaSchedule("constant", math.nan),
+    EtaSchedule("exp", 1.0),
+])
+def test_spec_rejects_invalid_eta_schedule(eta):
+    spec = gse_spec(3, 0, eta=eta)
+    with pytest.raises(SpecError, match="eta schedule"):
+        spec.validate()
+    with pytest.raises(SpecError, match="eta schedule"):
+        sample_general(spec)
+
+
 # ---------------------------------------------------------------------------
 # tail-moment diagnostic
 # ---------------------------------------------------------------------------

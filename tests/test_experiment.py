@@ -5,12 +5,14 @@ import json
 import numpy as np
 import pytest
 
+from quatspectra import experiment
 from quatspectra.cli import main
 from quatspectra.ensemble import (EnsembleSpec, EtaSchedule, GSECoefficients,
                                   sample_general)
-from quatspectra.experiment import (ConfigError, ExperimentConfig,
-                                    default_verify_config, emit, run,
-                                    stieltjes_label, trial_seed, verify)
+from quatspectra.experiment import (KNOWN_CHECKS, ConfigError,
+                                    ExperimentConfig, default_verify_config,
+                                    emit, run, stieltjes_label, trial_seed,
+                                    verify)
 from quatspectra.spectra import SpectralSample, semicircle_cdf
 
 
@@ -199,6 +201,50 @@ def test_verify_restricted_to_inversion():
     assert report.checks[0].details["trials"] == 30
 
 
+def test_verify_runs_the_pipeline_once_per_draw(monkeypatch):
+    seeds = []
+    real = experiment.check_pipeline_bounds
+
+    def counting(spec):
+        seeds.append(spec.seed)
+        return real(spec)
+
+    monkeypatch.setattr(experiment, "check_pipeline_bounds", counting)
+    config = default_verify_config(seed=0)
+    config.checks = ("levy_bounds", "rank_bounds")
+    assert verify(config).all_passed()
+    assert seeds == [trial_seed(0, n, trial) for n in config.sizes
+                     for trial in range(config.trials_per_size)]
+
+
+def test_verify_one_pass_matches_single_check_runs():
+    config = default_verify_config(seed=4)
+    full = verify(config).checks
+    assert [c.name for c in full] == list(KNOWN_CHECKS)
+    for result in full:
+        config.checks = (result.name,)
+        assert verify(config).checks == [result]
+    config.checks = tuple(reversed(KNOWN_CHECKS))
+    assert verify(config).checks == full[::-1]
+
+
+def test_verify_records_a_failing_bound_entry_under_both_checks(monkeypatch):
+    entry = {"stage": "truncate", "levy": 0.5, "levy_cube_bound": 0.0,
+             "levy_ok": False, "sup_distance": 0.5, "rank_bound": 0.0,
+             "rank_ok": False}
+    monkeypatch.setattr(experiment, "check_pipeline_bounds", lambda spec: [entry])
+    config = default_verify_config(seed=0)
+    config.checks = ("levy_bounds", "rank_bounds")
+    config.sizes = [4]
+    config.trials_per_size = 1
+    report = verify(config)
+    failure = {"n": 4, "seed": trial_seed(0, 4, 0), **entry}
+    assert [(c.name, c.passed, c.details) for c in report.checks] == [
+        ("levy_bounds", False, {"checks": 1, "failures": [failure]}),
+        ("rank_bounds", False, {"checks": 1, "failures": [failure]}),
+    ]
+
+
 # ---------------------------------------------------------------------------
 # CLI
 # ---------------------------------------------------------------------------
@@ -262,6 +308,8 @@ def test_cli_verify_exit_codes(tmp_path):
 def test_cli_user_errors_exit_code_two(capsys):
     assert main(["sample", "--n", "0"]) == 2
     assert main(["pipeline", "--n", "4", "--eta-exponent", "nan"]) == 2
+    assert main(["sample", "--n", "3", "--eta-exponent", "nan"]) == 2
+    assert main(["sample", "--n", "3", "--eta-exponent", "inf"]) == 2
     assert "error:" in capsys.readouterr().err
 
 
@@ -271,3 +319,9 @@ def test_cli_bad_config_exit_code(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"sizes": [3, 1]}))
     assert main(["sweep", "--config", str(bad)]) == 2
+    negative_eta = small_config(tmp_path, ensemble=EnsembleSpec(
+        n=8, distribution=GSECoefficients(), seed=5,
+        eta=EtaSchedule("constant", -1.0)))
+    bad.write_text(json.dumps(negative_eta.to_json()))
+    assert main(["sweep", "--config", str(bad)]) == 2
+    assert not (tmp_path / "sweep.csv").exists()

@@ -314,6 +314,15 @@ def test_levy_against_continuous_reference():
     assert 0 <= lev <= kol + 1e-12
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_distances_reject_non_finite_points(bad):
+    # A non-finite point would turn both distances into nan.
+    with pytest.raises(ValueError, match="finite"):
+        kolmogorov_distance(ESD([0.1, bad, -0.2]))
+    with pytest.raises(ValueError, match="finite"):
+        levy_distance(ESD([0.1, bad, -0.2]), semicircle_cdf)
+
+
 # ---------------------------------------------------------------------------
 # resolvent diagnostics
 # ---------------------------------------------------------------------------

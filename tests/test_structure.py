@@ -37,6 +37,8 @@ def test_is_type_t():
     assert not is_type_t(np.diag([1.0, 2.0]), tol=1e-12)
     with pytest.raises(ValueError):
         is_type_t(np.eye(2), tol=-1.0)
+    with pytest.raises(DecompositionError):
+        is_type_t(np.eye(3), tol=0.0)
 
 
 def test_resolvent_diagonal_blocks_are_type_t():
