@@ -12,8 +12,10 @@ from __future__ import annotations
 
 import cmath
 import csv
+import functools
 import hashlib
 import json
+import math
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -96,8 +98,9 @@ class ExperimentConfig:
         unknown = set(self.checks) - set(KNOWN_CHECKS)
         if unknown:
             raise ConfigError(f"unknown checks {sorted(unknown)}")
-        if self.check_tol < 0:
-            raise ConfigError("check_tol must be nonnegative")
+        if not (self.check_tol >= 0 and math.isfinite(self.check_tol)):
+            raise ConfigError(f"check_tol must be finite and nonnegative, "
+                              f"got {self.check_tol}")
         self.ensemble.validate()
 
     def to_json(self) -> dict:
@@ -177,20 +180,17 @@ class ConvergenceRow:
 
 def _draws(config: ExperimentConfig):
     """``(trial, spec)`` of every draw of a run, in ``(n, trial)`` order."""
-    for n in config.sizes:
-        for trial in range(config.trials_per_size):
-            yield trial, _trial_spec(config, int(n), trial)
-
-
-def _trial_spec(config: ExperimentConfig, n: int, trial: int) -> EnsembleSpec:
     base = config.ensemble
-    return EnsembleSpec(
-        n=n,
-        distribution=base.distribution,
-        seed=trial_seed(base.seed, n, trial),
-        diagonal_bound=base.diagonal_bound,
-        eta=base.eta,
-    )
+    for n in config.sizes:
+        n = int(n)
+        for trial in range(config.trials_per_size):
+            yield trial, EnsembleSpec(
+                n=n,
+                distribution=base.distribution,
+                seed=trial_seed(base.seed, n, trial),
+                diagonal_bound=base.diagonal_bound,
+                eta=base.eta,
+            )
 
 
 # Sweep message of a failed resolvent check, filled from its failure fields.
@@ -219,10 +219,9 @@ def _resolvent_checks(w: SelfDualMatrix, config: ExperimentConfig, names):
                    {"max_difference": report.max_difference, "bound": report.bound})
 
 
-def _run_trial(payload) -> ConvergenceRow:
-    config_json, n, trial, hist_dir = payload
-    config = ExperimentConfig.from_json(config_json)
-    spec = _trial_spec(config, n, trial)
+def _run_trial(config: ExperimentConfig, hist_dir, draw) -> ConvergenceRow:
+    trial, spec = draw
+    n = spec.n
     t0 = time.perf_counter()
 
     w = sample_general(spec)
@@ -272,14 +271,12 @@ def run(config: ExperimentConfig, jobs: int = 1) -> list:
     if config.histograms:
         hist_dir = str(Path(config.output_path).resolve().parent)
         Path(hist_dir).mkdir(parents=True, exist_ok=True)
-    config_json = config.to_json()
-    payloads = [(config_json, spec.n, trial, hist_dir)
-                for trial, spec in _draws(config)]
+    trial_fn = functools.partial(_run_trial, config, hist_dir)
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            rows = list(pool.map(_run_trial, payloads))
+            rows = list(pool.map(trial_fn, _draws(config)))
     else:
-        rows = [_run_trial(p) for p in payloads]
+        rows = [trial_fn(draw) for draw in _draws(config)]
     rows.sort(key=lambda r: (r.n, r.trial))
     return rows
 
@@ -364,9 +361,10 @@ def _check_type2_inverse(config: ExperimentConfig) -> CheckResult:
     )
 
 
-def check_pipeline_bounds(spec: EnsembleSpec):
+def check_pipeline_bounds(spec: EnsembleSpec, w: Optional[SelfDualMatrix] = None):
     """Run the pipeline once and verify its recorded Levy/rank bounds.
 
+    The pipeline runs on ``w``, or on a draw of ``spec`` when ``w`` is None.
     Returns one dict of outcomes per stage: every stage has the Levy
     entries, the truncation stage also the rank entries.  Levy: the cubed
     distance between consecutive stage ESDs must not exceed the recorded
@@ -374,7 +372,7 @@ def check_pipeline_bounds(spec: EnsembleSpec):
     Rank: the sup ESD distance across the truncation stage must not exceed
     the recorded rank bound.
     """
-    _, trace = run_pipeline(spec, keep_matrices=True)
+    _, trace = run_pipeline(spec, w, keep_matrices=True)
     esds = [ESD(spectra.hermitian_eigenvalues(spectra.embed(m)))
             for _, m in trace.matrices]
     outcomes = []
@@ -403,8 +401,8 @@ def verify(config: ExperimentConfig) -> VerificationReport:
     """Run the configured structural checks; failures are reported, not raised.
 
     Every check but ``type2_inverse`` runs on the draws of ``config``, in
-    one pass: each draw is sampled once for the resolvent checks and goes
-    through the pipeline once for both bound checks.
+    one pass: each draw is sampled once, and that matrix goes to the
+    resolvent checks and through the pipeline once for both bound checks.
     """
     config.validate()
     checks = config.checks or KNOWN_CHECKS
@@ -412,9 +410,9 @@ def verify(config: ExperimentConfig) -> VerificationReport:
     counts = dict.fromkeys(per_draw, 0)
     worst = dict.fromkeys(per_draw, 0.0)
     failures = {name: [] for name in per_draw}
-    for _, spec in _draws(config):
+    for _, spec in _draws(config) if per_draw else ():
+        w = sample_general(spec)
         if _WORST_KEYS.keys() & counts.keys():
-            w = sample_general(spec)
             for name, z, passed, value, failure in _resolvent_checks(w, config, checks):
                 counts[name] += 1
                 worst[name] = max(worst[name], value)
@@ -423,7 +421,7 @@ def verify(config: ExperimentConfig) -> VerificationReport:
                                            "z": [complex(z).real, complex(z).imag],
                                            **failure})
         if _BOUND_KEYS.keys() & counts.keys():
-            for entry in check_pipeline_bounds(spec):
+            for entry in check_pipeline_bounds(spec, w):
                 for name, key in _BOUND_KEYS.items():
                     if name in counts and key in entry:
                         counts[name] += 1

@@ -211,8 +211,8 @@ class StieltjesPoint:
 
 def semicircle_pdf(x, sigma: float = 1.0):
     """Semicircle density ``sqrt(4 sigma^2 - x^2) / (2 pi sigma^2)`` on [-2 sigma, 2 sigma]."""
-    if sigma <= 0:
-        raise ValueError("sigma must be positive")
+    if not (sigma > 0 and math.isfinite(sigma)):
+        raise ValueError(f"sigma must be positive and finite, got {sigma}")
     x = np.asarray(x, dtype=float)
     out = np.zeros_like(x)
     inside = np.abs(x) < 2.0 * sigma
@@ -222,8 +222,8 @@ def semicircle_pdf(x, sigma: float = 1.0):
 
 def semicircle_cdf(x, sigma: float = 1.0):
     """Closed-form semicircle CDF, clamped to {0, 1} outside the support."""
-    if sigma <= 0:
-        raise ValueError("sigma must be positive")
+    if not (sigma > 0 and math.isfinite(sigma)):
+        raise ValueError(f"sigma must be positive and finite, got {sigma}")
     x = np.asarray(x, dtype=float)
     xc = np.clip(x, -2.0 * sigma, 2.0 * sigma)
     out = (0.5

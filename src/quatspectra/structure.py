@@ -148,8 +148,8 @@ def is_type_t(b: np.ndarray, tol: float) -> bool:
 
     A ``(..., 2, 2)`` stack is true when every block is.
     """
-    if tol < 0:
-        raise ValueError("tol must be nonnegative")
+    if not tol >= 0:
+        raise ValueError(f"tol must be nonnegative, got {tol}")
     return bool(np.all(_type_t_deviation(b) <= tol))
 
 
@@ -222,16 +222,16 @@ def u_partner(p: np.ndarray) -> np.ndarray:
 
 def d_related(p: np.ndarray, q: np.ndarray, tol: float) -> bool:
     """True when ``q`` is the d-mirror of ``p`` within ``tol`` entrywise."""
-    if tol < 0:
-        raise ValueError("tol must be nonnegative")
+    if not tol >= 0:
+        raise ValueError(f"tol must be nonnegative, got {tol}")
     q = np.asarray(q, dtype=complex)
     return bool(np.max(np.abs(q - d_partner(p))) <= tol)
 
 
 def u_related(p: np.ndarray, q: np.ndarray, tol: float) -> bool:
     """True when ``q`` is the u-mirror of ``p`` within ``tol`` entrywise."""
-    if tol < 0:
-        raise ValueError("tol must be nonnegative")
+    if not tol >= 0:
+        raise ValueError(f"tol must be nonnegative, got {tol}")
     q = np.asarray(q, dtype=complex)
     return bool(np.max(np.abs(q - u_partner(p))) <= tol)
 
@@ -245,8 +245,8 @@ def classify(m, tol: float) -> StructureReport:
     (TypeII first: it is the input side of the inversion check) and all
     passing classes are listed in ``passing``.
     """
-    if tol < 0:
-        raise ValueError("tol must be nonnegative")
+    if not tol >= 0:
+        raise ValueError(f"tol must be nonnegative, got {tol}")
     values = _as_matrix(m)
     bm = m if isinstance(m, BlockMatrix) else BlockMatrix(values)
     blocks = bm.blocks
@@ -431,6 +431,8 @@ def verify_type2_inverse(n: int, trials: int, seed: int, tol: float = 1e-8) -> I
     """
     if n < 1 or trials < 1:
         raise ValueError("n and trials must be at least 1")
+    if not tol >= 0:
+        raise ValueError(f"tol must be nonnegative, got {tol}")
     passes = 0
     resamples = 0
     max_residual = 0.0
@@ -448,9 +450,10 @@ def verify_type2_inverse(n: int, trials: int, seed: int, tol: float = 1e-8) -> I
 
         ok = True
         variants = [M.values]
-        zeroed = make_type2(n, np.concatenate(([0.0], t[1:])), coeffs)
-        if _well_conditioned(zeroed.values):
-            variants.append(zeroed.values)
+        zeroed = M.values.copy()
+        zeroed[0, 0] = zeroed[1, 1] = 0.0  # t_1 = 0
+        if _well_conditioned(zeroed):
+            variants.append(zeroed)
         for A in variants:
             report = classify(np.linalg.inv(A), tol)
             res = report.residuals["TypeI"]

@@ -302,7 +302,7 @@ def test_zero_diagonal_levy_bound_after_truncation():
 def test_centralize_symmetric_law_is_identity():
     spec = gse_spec(25, 7)
     w = sample_general(spec)
-    out = centralize(w, spec)
+    out, _ = centralize(w, spec)
     assert np.array_equal(out.coeffs, w.coeffs)
 
 
@@ -311,7 +311,7 @@ def test_centralize_two_point_matches_enumeration_oracle():
     spec = EnsembleSpec(n=10, distribution=dist, seed=9,
                         eta=EtaSchedule("constant", 0.3))
     w = sample_general(spec)
-    out = centralize(w, spec)
+    out, _ = centralize(w, spec)
     out.check()
 
     c = spec.eta_n() * math.sqrt(10)
@@ -323,6 +323,17 @@ def test_centralize_two_point_matches_enumeration_oracle():
     assert delta == pytest.approx(mu, rel=1e-12)
     delta_mirror = (w.coeffs - out.coeffs)[1, 0] / w.scale
     assert delta_mirror == pytest.approx(mu * np.array([1, -1, -1, -1]), rel=1e-12)
+
+
+def test_centralize_record_is_the_pipeline_stage_record():
+    spec = EnsembleSpec(n=10, distribution=spiky_two_point(p=0.2, hi=1.0), seed=9,
+                        eta=EtaSchedule("constant", 0.3))
+    staged, _ = truncate(sample_general(spec), spec.eta_n())
+    staged, _ = zero_diagonal(staged)
+    _, record = centralize(staged, spec)
+    _, trace = run_pipeline(spec, keep_matrices=False)
+    assert record.centering_shift_norm > 0
+    assert record.to_json() == trace.stages[2].to_json()
 
 
 def test_centering_bound_consistent_with_tail_statistic():
@@ -365,7 +376,7 @@ def test_rescale_replaces_all_pairs_when_variance_floors():
     w = sample_general(spec)
     staged, _ = truncate(w, spec.eta_n())
     staged, _ = zero_diagonal(staged)
-    staged = centralize(staged, spec)
+    staged, _ = centralize(staged, spec)
     out, record = rescale(staged, spec)
     out.check()
     assert record.variance_floor_replacements == n * (n - 1) // 2

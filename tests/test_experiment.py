@@ -1,19 +1,25 @@
 import csv
 import hashlib
 import json
+import math
 
 import numpy as np
 import pytest
 
-from quatspectra import experiment
+from quatspectra import ensemble, experiment
 from quatspectra.cli import main
 from quatspectra.ensemble import (EnsembleSpec, EtaSchedule, GSECoefficients,
-                                  sample_general)
+                                  UserCoefficients, sample_general)
 from quatspectra.experiment import (KNOWN_CHECKS, ConfigError,
                                     ExperimentConfig, default_verify_config,
                                     emit, run, stieltjes_label, trial_seed,
                                     verify)
 from quatspectra.spectra import SpectralSample, semicircle_cdf
+
+
+def uniform_sampler(rng, size):
+    # Module level, so a sweep with jobs > 1 can pickle it.
+    return rng.uniform(-1.0, 1.0, size=(size, 4))
 
 
 def small_config(tmp_path, **overrides):
@@ -70,6 +76,9 @@ def test_config_validation_errors(tmp_path):
         small_config(tmp_path, output_format="xml").validate()
     with pytest.raises(ConfigError):
         small_config(tmp_path, checks=("levy_bounds", "spectral_gap")).validate()
+    for tol in (-1.0, math.nan, math.inf):
+        with pytest.raises(ConfigError):
+            small_config(tmp_path, check_tol=tol).validate()
 
 
 def test_config_json_roundtrip(tmp_path):
@@ -121,6 +130,18 @@ def test_run_with_pipeline_and_checks(tmp_path):
 def test_run_parallel_matches_serial(tmp_path):
     config = small_config(tmp_path)
     serial = run(config, jobs=1)
+    parallel = run(config, jobs=2)
+    assert [r.to_json() for r in serial] == [r.to_json() for r in parallel]
+
+
+def test_run_accepts_a_user_law(tmp_path):
+    # A user law cannot be written as JSON; the trials get the live config.
+    config = small_config(tmp_path, pipeline=True, checks=("resolvent_structure",),
+                          ensemble=EnsembleSpec(n=8, distribution=UserCoefficients(uniform_sampler),
+                                                seed=5, eta=EtaSchedule("constant", 0.5)))
+    serial = run(config, jobs=1)
+    assert [(r.n, r.trial) for r in serial] == [(4, 0), (4, 1), (8, 0), (8, 1)]
+    assert all(r.check_failures == [] for r in serial)
     parallel = run(config, jobs=2)
     assert [r.to_json() for r in serial] == [r.to_json() for r in parallel]
 
@@ -205,9 +226,9 @@ def test_verify_runs_the_pipeline_once_per_draw(monkeypatch):
     seeds = []
     real = experiment.check_pipeline_bounds
 
-    def counting(spec):
+    def counting(spec, w=None):
         seeds.append(spec.seed)
-        return real(spec)
+        return real(spec, w)
 
     monkeypatch.setattr(experiment, "check_pipeline_bounds", counting)
     config = default_verify_config(seed=0)
@@ -215,6 +236,38 @@ def test_verify_runs_the_pipeline_once_per_draw(monkeypatch):
     assert verify(config).all_passed()
     assert seeds == [trial_seed(0, n, trial) for n in config.sizes
                      for trial in range(config.trials_per_size)]
+
+
+def count_draws(monkeypatch):
+    """Record the seed of every ``sample_general`` call, from either module."""
+    seeds = []
+    real = ensemble.sample_general
+
+    def counting(spec):
+        seeds.append(spec.seed)
+        return real(spec)
+
+    monkeypatch.setattr(ensemble, "sample_general", counting)
+    monkeypatch.setattr(experiment, "sample_general", counting)
+    return seeds
+
+
+def test_verify_samples_each_draw_once(monkeypatch):
+    seeds = count_draws(monkeypatch)
+    config = default_verify_config(seed=0)
+    config.check_params["inversion_trials"] = 16
+    assert verify(config).all_passed()
+    assert seeds == [trial_seed(0, n, trial) for n in config.sizes
+                     for trial in range(config.trials_per_size)]
+
+
+def test_verify_type2_inverse_only_samples_no_draw(monkeypatch):
+    seeds = count_draws(monkeypatch)
+    config = default_verify_config(seed=0)
+    config.checks = ("type2_inverse",)
+    config.check_params["inversion_trials"] = 16
+    assert verify(config).all_passed()
+    assert seeds == []
 
 
 def test_verify_one_pass_matches_single_check_runs():
@@ -232,7 +285,7 @@ def test_verify_records_a_failing_bound_entry_under_both_checks(monkeypatch):
     entry = {"stage": "truncate", "levy": 0.5, "levy_cube_bound": 0.0,
              "levy_ok": False, "sup_distance": 0.5, "rank_bound": 0.0,
              "rank_ok": False}
-    monkeypatch.setattr(experiment, "check_pipeline_bounds", lambda spec: [entry])
+    monkeypatch.setattr(experiment, "check_pipeline_bounds", lambda spec, w=None: [entry])
     config = default_verify_config(seed=0)
     config.checks = ("levy_bounds", "rank_bounds")
     config.sizes = [4]
@@ -323,5 +376,7 @@ def test_cli_bad_config_exit_code(tmp_path):
         n=8, distribution=GSECoefficients(), seed=5,
         eta=EtaSchedule("constant", -1.0)))
     bad.write_text(json.dumps(negative_eta.to_json()))
+    assert main(["sweep", "--config", str(bad)]) == 2
+    bad.write_text(json.dumps(small_config(tmp_path, check_tol=math.nan).to_json()))
     assert main(["sweep", "--config", str(bad)]) == 2
     assert not (tmp_path / "sweep.csv").exists()

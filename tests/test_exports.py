@@ -4,6 +4,10 @@ from pathlib import Path
 
 import pytest
 
+import quatspectra
+from quatspectra import ensemble
+from quatspectra.ensemble import EnsembleSpec, GSECoefficients
+
 
 @pytest.mark.parametrize("name", ["quaternion", "structure", "ensemble",
                                   "spectra", "experiment"])
@@ -25,3 +29,19 @@ def test_every_benchmark_tracer_target_resolves():
             assert meth in vars(getattr(module, cls_name)), f"{mod_name}.{attr}"
         else:
             assert hasattr(module, attr), f"{mod_name}.{attr}"
+
+
+def test_benchmark_tracer_sees_every_pipeline_stage_and_restores():
+    # The pipeline looks its stages up per call, so the tracer's wrappers
+    # see them; afterwards every patched name is the original again.
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+    tracer = runpy.run_path(str(path))["Tracer"]()
+    original = ensemble.centralize
+    with tracer.installed():
+        ensemble.run_pipeline(EnsembleSpec(n=6, distribution=GSECoefficients(), seed=1))
+    names = {span[0] for span in tracer.spans}
+    assert {"ensemble.run_pipeline", "ensemble.sample_general", "ensemble.truncate",
+            "ensemble.zero_diagonal", "ensemble.centralize", "ensemble.rescale"} <= names
+    assert ensemble.centralize is original
+    assert ensemble.centralize_stage is original
+    assert quatspectra.centralize is original

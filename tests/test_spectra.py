@@ -323,6 +323,16 @@ def test_distances_reject_non_finite_points(bad):
         levy_distance(ESD([0.1, bad, -0.2]), semicircle_cdf)
 
 
+@pytest.mark.parametrize("sigma", [0.0, -1.0, math.nan, math.inf])
+@pytest.mark.parametrize("fn", [semicircle_pdf, semicircle_cdf,
+                                lambda x, sigma: kolmogorov_distance(ESD([x]), sigma)],
+                         ids=["pdf", "cdf", "kolmogorov"])
+def test_semicircle_rejects_bad_sigma(fn, sigma):
+    # NaN compares False with 0 and inf puts nan into the formulas.
+    with pytest.raises(ValueError, match="sigma"):
+        fn(0.1, sigma=sigma)
+
+
 # ---------------------------------------------------------------------------
 # resolvent diagnostics
 # ---------------------------------------------------------------------------

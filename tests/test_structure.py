@@ -35,8 +35,9 @@ def test_is_type_t():
     t = 3 + 4j
     assert is_type_t(t * np.eye(2), tol=0.0)
     assert not is_type_t(np.diag([1.0, 2.0]), tol=1e-12)
-    with pytest.raises(ValueError):
-        is_type_t(np.eye(2), tol=-1.0)
+    for tol in (-1.0, np.nan):
+        with pytest.raises(ValueError, match="tol"):
+            is_type_t(np.eye(2), tol=tol)
     with pytest.raises(DecompositionError):
         is_type_t(np.eye(3), tol=0.0)
 
@@ -57,6 +58,8 @@ def test_d_related_examples():
     t = 2 - 1j
     assert d_related(t * np.eye(2), t * np.eye(2), tol=0.0)
     assert not d_related(np.eye(2), 2 * np.eye(2), tol=1e-12)
+    with pytest.raises(ValueError, match="tol"):
+        d_related(np.eye(2), np.eye(2), tol=np.nan)
 
 
 @given(blocks_2x2)
@@ -82,6 +85,8 @@ def test_u_related_rejects_bad_input():
         u_related(np.full((2, 2), np.nan), np.zeros((2, 2)), tol=1.0)
     with pytest.raises(DecompositionError):
         u_related(np.zeros((3, 3)), np.zeros((2, 2)), tol=1.0)
+    with pytest.raises(ValueError, match="tol"):
+        u_related(np.eye(2), np.eye(2), tol=np.nan)
 
 
 @given(blocks_2x2)
@@ -236,6 +241,9 @@ def test_classify_rejects_non_finite():
     A[0, 0] = np.nan
     with pytest.raises(DecompositionError):
         classify(A, tol=1e-8)
+    for tol in (-1.0, np.nan):
+        with pytest.raises(ValueError, match="tol"):
+            classify(np.eye(4), tol)
 
 
 def test_classify_none_iff_residual_exceeds_tol():
@@ -349,3 +357,6 @@ def test_inversion_check_rejects_bad_args():
         verify_type2_inverse(0, trials=1, seed=0)
     with pytest.raises(ValueError):
         verify_type2_inverse(1, trials=0, seed=0)
+    for tol in (-1.0, np.nan):
+        with pytest.raises(ValueError, match="tol"):
+            verify_type2_inverse(1, trials=1, seed=0, tol=tol)
