@@ -111,7 +111,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--n", type=int, required=True, help="quaternion dimension")
         p.add_argument("--distribution", choices=_CLI_DISTRIBUTIONS, default="gse")
         p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--eta-exponent", type=float, default=0.125,
+        p.add_argument("--eta-exponent", type=float, default=EtaSchedule.value,
                        help="truncation level eta_n = n**(-exponent)")
         p.add_argument("--out", default="-", help="output path ('-' for stdout)")
 

@@ -20,7 +20,7 @@ between the spectral distributions of consecutive stages:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
@@ -54,6 +54,7 @@ __all__ = [
 
 _CONJ_SIGNS = np.array([1.0, -1.0, -1.0, -1.0])
 _MOMENT_SAMPLES = 1_000_000
+_LINDEBERG_SAMPLES = 200_000
 # rng stream tags so moment estimation / replacement draws never collide
 # with the entry stream
 _MOMENT_TAG = 0x4D4F4D
@@ -287,22 +288,21 @@ class UserCoefficients(Distribution):
 
     ``sampler(rng, size)`` must return a ``(size, 4)`` float array.  On first
     use the law is checked for (approximately) zero mean and rescaled so the
-    entry second moment is 1; a clearly shifted or degenerate law raises
-    :class:`SpecError`.  Not JSON-serializable.
+    entry second moment is 1, on draws from a fixed stream (seed 0); a
+    clearly shifted or degenerate law raises :class:`SpecError`.  Not
+    JSON-serializable.
     """
 
     kind = "user"
 
-    def __init__(self, sampler: Callable, name: str = "user", check_seed: int = 0):
+    def __init__(self, sampler: Callable):
         self.sampler = sampler
-        self.name = name
-        self.check_seed = check_seed
         self._scale = None
 
     def _calibrate(self):
         if self._scale is not None:
             return
-        rng = np.random.default_rng(np.random.SeedSequence((self.check_seed, _MOMENT_TAG)))
+        rng = np.random.default_rng(np.random.SeedSequence((0, _MOMENT_TAG)))
         draws = np.asarray(self.sampler(rng, 100_000), dtype=float)
         if draws.shape != (100_000, 4):
             raise SpecError(f"user sampler returned shape {draws.shape}, expected (N, 4)")
@@ -376,7 +376,7 @@ class EtaSchedule:
     def from_json(cls, obj: dict) -> "EtaSchedule":
         kind = obj.get("kind", "power")
         if kind == "power":
-            return cls("power", float(obj.get("exponent", 0.125)))
+            return cls("power", float(obj.get("exponent", cls.value)))
         if kind == "constant":
             return cls("constant", float(obj["value"]))
         raise SpecError(f"unknown eta schedule kind {kind!r}")
@@ -384,16 +384,11 @@ class EtaSchedule:
 
 @dataclass
 class EnsembleSpec:
-    """Reproducible description of one ensemble draw.
-
-    ``diagonal_bound`` is the allowed diagonal second moment (the limit law
-    does not depend on its value; built-ins use 1).
-    """
+    """Reproducible description of one ensemble draw."""
 
     n: int
     distribution: Distribution
     seed: int
-    diagonal_bound: float = 4.0
     eta: EtaSchedule = field(default_factory=EtaSchedule)
 
     def validate(self) -> None:
@@ -415,7 +410,6 @@ class EnsembleSpec:
             "n": self.n,
             "distribution": self.distribution.to_json(),
             "seed": self.seed,
-            "diagonal_bound": self.diagonal_bound,
             "eta": self.eta.to_json(),
         }
 
@@ -425,8 +419,7 @@ class EnsembleSpec:
             n=int(obj["n"]),
             distribution=distribution_from_json(obj["distribution"]),
             seed=int(obj["seed"]),
-            diagonal_bound=float(obj.get("diagonal_bound", 4.0)),
-            eta=EtaSchedule.from_json(obj.get("eta", {"kind": "power", "exponent": 0.125})),
+            eta=EtaSchedule.from_json(obj.get("eta", {})),
         )
 
 
@@ -466,13 +459,13 @@ class SelfDualMatrix:
         """(n, n) array of quaternion entry norms (scaled values)."""
         return np.sqrt((self.coeffs**2).sum(axis=2))
 
-    def check(self, atol: float = 0.0) -> None:
-        """Raise ValueError unless the self-dual invariants hold within atol."""
+    def check(self) -> None:
+        """Raise ValueError unless the self-dual invariants hold exactly."""
         mirrored = self.coeffs.transpose(1, 0, 2) * _CONJ_SIGNS
-        if not np.all(np.abs(self.coeffs - mirrored) <= atol):
+        if not np.all(np.abs(self.coeffs - mirrored) <= 0.0):
             raise ValueError("matrix is not self-dual: entry(k,j) != conj(entry(j,k))")
         diag = self.coeffs[np.arange(self.n), np.arange(self.n)]
-        if not np.all(np.abs(diag[:, 1:]) <= atol):
+        if not np.all(np.abs(diag[:, 1:]) <= 0.0):
             raise ValueError("diagonal entries are not real quaternions")
         if not np.all(np.isfinite(self.coeffs)):
             raise ValueError("matrix has non-finite entries")
@@ -523,15 +516,14 @@ def _moments_rng(spec: EnsembleSpec) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence((spec.seed, _MOMENT_TAG)))
 
 
-def lindeberg_statistic(spec: EnsembleSpec, eta: float,
-                        mc_samples: int = 200_000) -> float:
+def lindeberg_statistic(spec: EnsembleSpec, eta: float) -> float:
     """Tail-moment statistic ``(1/n^2) sum_jk E ||x_jk||^2 I(||x_jk|| >= eta sqrt n)``.
 
     For i.i.d. entries this reduces to single-entry expectations (one for the
     off-diagonal law, one for the diagonal), evaluated in closed form when
     the distribution provides one, by the bounded-support shortcut when the
-    threshold exceeds the entry bound, and otherwise by ``mc_samples`` Monte
-    Carlo draws from an offset stream of ``spec.seed``.
+    threshold exceeds the entry bound, and otherwise by ``_LINDEBERG_SAMPLES``
+    Monte Carlo draws from an offset stream of ``spec.seed``.
     """
     if not (eta > 0 and math.isfinite(eta)):
         raise SpecError(f"eta must be positive and finite, got {eta}")
@@ -546,14 +538,14 @@ def lindeberg_statistic(spec: EnsembleSpec, eta: float,
             off_tail = 0.0
         else:
             rng = _moments_rng(spec)
-            draws = dist.sample_coeffs(rng, mc_samples)
+            draws = dist.sample_coeffs(rng, _LINDEBERG_SAMPLES)
             sq = (draws**2).sum(axis=1)
             off_tail = float((sq * (np.sqrt(sq) >= c)).mean())
 
     diag_tail = dist.diag_tail_second_moment(c)
     if diag_tail is None:
         rng = _moments_rng(spec)
-        draws = dist.sample_diag(rng, mc_samples)
+        draws = dist.sample_diag(rng, _LINDEBERG_SAMPLES)
         diag_tail = float((draws**2 * (np.abs(draws) >= c)).mean())
 
     return ((n * n - n) * off_tail + n * diag_tail) / (n * n)
@@ -577,16 +569,7 @@ class StageRecord:
     details: dict = field(default_factory=dict)
 
     def to_json(self) -> dict:
-        return {
-            "name": self.name,
-            "levy_cube_bound": self.levy_cube_bound,
-            "truncated_count": self.truncated_count,
-            "rank_units": self.rank_units,
-            "rank_bound": self.rank_bound,
-            "centering_shift_norm": self.centering_shift_norm,
-            "variance_floor_replacements": self.variance_floor_replacements,
-            "details": self.details,
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -686,15 +669,16 @@ def _truncated_moments(spec: EnsembleSpec, c: float):
     return np.asarray(mean, dtype=float), float(m2)
 
 
-def centralize(w: SelfDualMatrix, spec: EnsembleSpec):
+def centralize(w: SelfDualMatrix, truncated_mean: np.ndarray):
     """Subtract the truncated-entry mean from every off-diagonal entry.
 
-    The mean is the closed form when the distribution provides one, else a
-    Monte Carlo estimate from an offset stream (never the matrix's own
-    entries); the record carries its norm.  Self-duality is preserved by
-    subtracting the conjugate below the diagonal.
+    ``truncated_mean`` is the unscaled coefficient 4-vector
+    ``E[x * I(||x|| <= eta_n sqrt n)]``; :func:`run_pipeline` takes it from
+    the closed form when the distribution provides one, else from a Monte
+    Carlo estimate on an offset stream (never the matrix's own entries).
+    The record carries its norm.  Self-duality is preserved by subtracting
+    the conjugate below the diagonal.
     """
-    truncated_mean, _ = _truncated_moments(spec, spec.eta_n() * math.sqrt(w.n))
     mu = truncated_mean * w.scale
     coeffs = w.coeffs.copy()
     upper = np.triu_indices(w.n, 1)
@@ -714,20 +698,16 @@ def centralize(w: SelfDualMatrix, spec: EnsembleSpec):
 centralize_stage = centralize
 
 
-def rescale(w: SelfDualMatrix, spec: EnsembleSpec):
+def rescale(w: SelfDualMatrix, sigma_sq: float, seed: int):
     """Divide off-diagonal entries by their post-truncation standard deviation.
 
-    When the centered truncated variance falls below 1/2, every off-diagonal
-    pair is instead replaced by an independent real +-1 entry (mean 0,
-    variance 1 exactly), drawn from an offset stream of ``spec.seed`` and
-    noted in the record.  The diagonal is left untouched (it is zeroed by
-    its own stage).
+    ``sigma_sq`` is the centered truncated variance of an unscaled entry.
+    When it falls below 1/2, every off-diagonal pair is instead replaced by
+    an independent real +-1 entry (mean 0, variance 1 exactly), drawn from
+    an offset stream of ``seed`` and noted in the record.  The diagonal is
+    left untouched (it is zeroed by its own stage).
     """
     n = w.n
-    c = spec.eta_n() * math.sqrt(n)
-    mean, m2 = _truncated_moments(spec, c)
-    sigma_sq = m2 - float(mean @ mean)
-
     coeffs = w.coeffs.copy()
     idx = np.arange(n)
     replacements = 0
@@ -737,7 +717,7 @@ def rescale(w: SelfDualMatrix, spec: EnsembleSpec):
         coeffs /= sigma
         coeffs[idx, idx] = diag_saved
     else:
-        rng = np.random.default_rng(np.random.SeedSequence((spec.seed, _RESCALE_TAG)))
+        rng = np.random.default_rng(np.random.SeedSequence((seed, _RESCALE_TAG)))
         m = n * (n - 1) // 2
         signs = rng.choice([-1.0, 1.0], size=m)
         off = np.zeros((m, 4))
@@ -754,7 +734,7 @@ def rescale(w: SelfDualMatrix, spec: EnsembleSpec):
         levy_cube_bound=_levy_cube_bound(w, out),
         variance_floor_replacements=replacements,
         details={"sigma": sigma, "sigma_sq_before": sigma_sq,
-                 "replacement_stream": f"seed:{spec.seed}/rescale"},
+                 "replacement_stream": f"seed:{seed}/rescale"},
     )
     return out, record
 
@@ -763,22 +743,24 @@ def run_pipeline(spec: EnsembleSpec, w: Optional[SelfDualMatrix] = None,
                  keep_matrices: bool = True):
     """Run truncate -> zero diagonal -> centralize -> rescale with diagnostics.
 
-    Returns ``(final matrix, PipelineTrace)``.  Every stage output is checked
-    to still be a valid self-dual matrix.  With ``keep_matrices`` the trace
-    retains each stage's matrix so the Levy/rank inequalities can be verified
-    against eigenvalue computations.
+    Returns ``(final matrix, PipelineTrace)``.  The truncated moments are
+    computed once and handed to the centralize and rescale stages.  Every
+    stage output is checked to still be a valid self-dual matrix.  With
+    ``keep_matrices`` the trace retains each stage's matrix so the Levy/rank
+    inequalities can be verified against eigenvalue computations.
     """
     if w is None:
         w = sample_general(spec)
     w.check()
     eta_n = spec.eta_n()
     trace = PipelineTrace(eta_n=eta_n, threshold=eta_n * math.sqrt(w.n))
+    mean, m2 = _truncated_moments(spec, trace.threshold)
     if keep_matrices:
         trace.matrices.append(("input", w))
     # The stages are looked up per call, so a wrapper installed on the module
     # (the benchmark tracer) sees every stage call.
-    for stage, *args in ((truncate, eta_n), (zero_diagonal,),
-                         (centralize, spec), (rescale, spec)):
+    for stage, *args in ((truncate, eta_n), (zero_diagonal,), (centralize, mean),
+                         (rescale, m2 - float(mean @ mean), spec.seed)):
         w, record = stage(w, *args)
         w.check()
         trace.record(record, w, keep_matrices)
@@ -786,7 +768,7 @@ def run_pipeline(spec: EnsembleSpec, w: Optional[SelfDualMatrix] = None,
     # structural form of the final matrix: zero diagonal, entries bounded by
     # the post-rescale envelope sqrt(2) * (eta_n sqrt(n) + 1) (or 1 for
     # replaced +-1 entries)
-    norms = np.sqrt((w.coeffs**2).sum(axis=2)) / w.scale
+    norms = w.entry_norms() / w.scale
     envelope = max(math.sqrt(2.0) * (trace.threshold + 1.0), 1.0)
     trace.final_max_entry_norm = float(norms.max())
     trace.entry_bound_envelope = envelope

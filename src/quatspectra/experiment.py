@@ -23,8 +23,7 @@ from pathlib import Path
 from typing import Optional
 
 from . import spectra
-from .ensemble import (EnsembleSpec, EtaSchedule, SelfDualMatrix,
-                       run_pipeline, sample_general)
+from .ensemble import EnsembleSpec, SelfDualMatrix, run_pipeline, sample_general
 from .spectra import (ESD, SpectralSample, empirical_stieltjes, histogram_csv,
                       kolmogorov_distance, levy_distance,
                       resolvent_structure_check, semicircle_cdf,
@@ -46,10 +45,16 @@ __all__ = [
 
 KNOWN_CHECKS = ("type2_inverse", "resolvent_structure", "trace_minor",
                 "levy_bounds", "rank_bounds")
+# The type2_inverse check's parameters and their defaults.
+_CHECK_PARAMS = {"inversion_dims": list(range(1, 9)), "inversion_trials": 1000}
 
 
 class ConfigError(ValueError):
     """Invalid experiment configuration."""
+
+
+def _is_count(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool) and value >= 1
 
 
 def trial_seed(seed: int, n: int, trial: int) -> int:
@@ -101,6 +106,15 @@ class ExperimentConfig:
         if not (self.check_tol >= 0 and math.isfinite(self.check_tol)):
             raise ConfigError(f"check_tol must be finite and nonnegative, "
                               f"got {self.check_tol}")
+        params = {**_CHECK_PARAMS, **self.check_params}
+        dims, trials = params.pop("inversion_dims"), params.pop("inversion_trials")
+        if params:
+            raise ConfigError(f"unknown check_params {sorted(params)}")
+        if not (isinstance(dims, list) and dims and all(map(_is_count, dims))):
+            raise ConfigError(f"inversion_dims must be a nonempty list of integers "
+                              f">= 1, got {dims!r}")
+        if not _is_count(trials):
+            raise ConfigError(f"inversion_trials must be an integer >= 1, got {trials!r}")
         self.ensemble.validate()
 
     def to_json(self) -> dict:
@@ -188,7 +202,6 @@ def _draws(config: ExperimentConfig):
                 n=n,
                 distribution=base.distribution,
                 seed=trial_seed(base.seed, n, trial),
-                diagonal_bound=base.diagonal_bound,
                 eta=base.eta,
             )
 
@@ -267,6 +280,8 @@ def _run_trial(config: ExperimentConfig, hist_dir, draw) -> ConvergenceRow:
 def run(config: ExperimentConfig, jobs: int = 1) -> list:
     """Execute the sweep; rows are sorted by (n, trial) and deterministic."""
     config.validate()
+    if jobs < 1:
+        raise ConfigError(f"jobs must be at least 1, got {jobs}")
     hist_dir = None
     if config.histograms:
         hist_dir = str(Path(config.output_path).resolve().parent)
@@ -338,15 +353,12 @@ class VerificationReport:
 
 
 def _check_type2_inverse(config: ExperimentConfig) -> CheckResult:
-    params = config.check_params
-    dims = params.get("inversion_dims", list(range(1, 9)))
-    trials_total = int(params.get("inversion_trials", 1000))
-    per_dim = max(1, -(-trials_total // len(dims)))  # ceil division
-    reports = []
-    for n in dims:
-        reports.append(verify_type2_inverse(int(n), per_dim,
-                                            seed=config.ensemble.seed + int(n),
-                                            tol=config.check_tol))
+    params = {**_CHECK_PARAMS, **config.check_params}
+    dims = params["inversion_dims"]
+    per_dim = -(-params["inversion_trials"] // len(dims))  # ceil division
+    reports = [verify_type2_inverse(n, per_dim, seed=config.ensemble.seed + n,
+                                    tol=config.check_tol)
+               for n in dims]
     passed = all(r.all_passed() for r in reports)
     return CheckResult(
         name="type2_inverse",
@@ -368,9 +380,9 @@ def check_pipeline_bounds(spec: EnsembleSpec, w: Optional[SelfDualMatrix] = None
     Returns one dict of outcomes per stage: every stage has the Levy
     entries, the truncation stage also the rank entries.  Levy: the cubed
     distance between consecutive stage ESDs must not exceed the recorded
-    trace bound (with a small slack absorbing the Levy bisection bracket).
-    Rank: the sup ESD distance across the truncation stage must not exceed
-    the recorded rank bound.
+    trace bound, up to a slack for the bisection bracket.  Rank: the sup ESD
+    distance across the truncation stage must not exceed the recorded rank
+    bound.
     """
     _, trace = run_pipeline(spec, w, keep_matrices=True)
     esds = [ESD(spectra.hermitian_eigenvalues(spectra.embed(m)))
@@ -381,7 +393,9 @@ def check_pipeline_bounds(spec: EnsembleSpec, w: Optional[SelfDualMatrix] = None
         dist = levy_distance(prev, cur)
         entry["levy"] = dist
         entry["levy_cube_bound"] = record.levy_cube_bound
-        entry["levy_ok"] = dist**3 <= record.levy_cube_bound + 4e-6
+        # levy_distance returns the top of a bracket of width _LEVY_TOL, so
+        # for a distance of at most 1 its cube overshoots by under 4 * _LEVY_TOL.
+        entry["levy_ok"] = dist**3 <= record.levy_cube_bound + 4 * spectra._LEVY_TOL
         if record.name == "truncate":
             sup = spectra._ks_two_esds(prev, cur)
             entry["sup_distance"] = sup
@@ -444,8 +458,7 @@ def default_verify_config(seed: int = 0) -> ExperimentConfig:
     """Small, fast configuration exercising every check."""
     from .ensemble import GSECoefficients
     return ExperimentConfig(
-        ensemble=EnsembleSpec(n=8, distribution=GSECoefficients(), seed=seed,
-                              eta=EtaSchedule("power", 0.125)),
+        ensemble=EnsembleSpec(n=8, distribution=GSECoefficients(), seed=seed),
         sizes=[4, 8, 12],
         trials_per_size=2,
         z_grid=[1j, 1 + 1j],

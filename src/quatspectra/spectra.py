@@ -20,7 +20,7 @@ from typing import Optional
 import numpy as np
 
 from .ensemble import SelfDualMatrix
-from .structure import BlockMatrix, StructureReport, classify
+from .structure import BlockMatrix, StructureReport, _as_matrix, classify
 
 __all__ = [
     "DomainError",
@@ -48,6 +48,11 @@ __all__ = [
 ]
 
 
+_PAIRING_TOL = 1e-8     # largest relative gap within an eigenvalue pair
+_LEVY_TOL = 1e-6        # absolute accuracy of the Levy distance bisection
+_HIST_HALF_WIDTH = 2.5  # least half-width of a histogram's range
+
+
 class DomainError(ValueError):
     """Spectral parameter outside the open upper half plane."""
 
@@ -65,14 +70,6 @@ def _upper_half_plane(z) -> complex:
     if not (cmath.isfinite(z) and z.imag > 0):
         raise DomainError(f"z must be finite with Im z > 0, got {z}")
     return z
-
-
-def _as_values(m) -> np.ndarray:
-    if isinstance(m, BlockMatrix):
-        return m.values
-    if isinstance(m, SelfDualMatrix):
-        return embed(m).values
-    return np.asarray(m, dtype=complex)
 
 
 def embed(w: SelfDualMatrix) -> BlockMatrix:
@@ -108,7 +105,7 @@ def hermitian_eigenvalues(m) -> np.ndarray:
         If an entry is not finite or the Hermitian residual precondition
         fails.
     """
-    A = _as_values(m)
+    A = _as_matrix(m)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {A.shape}")
     scale = float(np.max(np.abs(A))) if A.size else 0.0
@@ -157,9 +154,9 @@ class SpectralSample:
     pairing_residual: float
 
     @classmethod
-    def from_matrix(cls, w: SelfDualMatrix, tol: float = 1e-8) -> "SpectralSample":
+    def from_matrix(cls, w: SelfDualMatrix) -> "SpectralSample":
         full = hermitian_eigenvalues(embed(w))
-        dedup, residual = dedup_pairs(full, tol)
+        dedup, residual = dedup_pairs(full, _PAIRING_TOL)
         return cls(n=w.n, eigenvalues_full=full, eigenvalues_dedup=dedup,
                    pairing_residual=residual)
 
@@ -298,11 +295,11 @@ def _levy_feasible(f: ESD, g, eps: float, g_points: Optional[np.ndarray]) -> boo
     return bool(sup1 <= eps + slack and sup2 <= eps + slack)
 
 
-def levy_distance(f: ESD, g, tol: float = 1e-6) -> float:
+def levy_distance(f: ESD, g) -> float:
     """Levy distance between an ESD and an ESD or continuous reference CDF.
 
     Computes ``inf { eps : g(x-eps) - eps <= f(x) <= g(x+eps) + eps }`` by
-    bisection over the merged jump grid, to absolute accuracy ``tol`` (the
+    bisection over the merged jump grid, to absolute accuracy ``_LEVY_TOL`` (the
     returned value is the feasible upper end of the bracket, so recorded
     inequalities remain valid).  Always at most the sup distance.
     """
@@ -313,9 +310,9 @@ def levy_distance(f: ESD, g, tol: float = 1e-6) -> float:
         g_points = None
         hi = _ks_to_cdf(f, np.asarray(g(f.points), dtype=float))
     lo = 0.0
-    if hi <= tol:
+    if hi <= _LEVY_TOL:
         return hi
-    while hi - lo > tol:
+    while hi - lo > _LEVY_TOL:
         mid = 0.5 * (lo + hi)
         if _levy_feasible(f, g, mid, g_points):
             hi = mid
@@ -333,7 +330,7 @@ def resolvent(m, z: complex) -> BlockMatrix:
     z = complex(z)
     if not (cmath.isfinite(z) and z.imag != 0):
         raise DomainError(f"z must be finite and off the real axis, got {z}")
-    A = _as_values(m)
+    A = _as_matrix(m)
     shifted = A - z * np.eye(A.shape[0], dtype=complex)
     return BlockMatrix(np.linalg.solve(shifted, np.eye(A.shape[0], dtype=complex)))
 
@@ -443,15 +440,16 @@ def esd_to_csv(e: ESD, path) -> None:
             writer.writerow([repr(float(x)), repr((i + 1) / n)])
 
 
-def histogram_csv(values, path, bins: int = 40, sigma: float = 1.0,
-                  support: float = 2.5) -> None:
-    """Histogram of eigenvalues with the semicircle overlay, as CSV."""
+def histogram_csv(values, path, bins: int = 40) -> None:
+    """Histogram of finite eigenvalues with the unit semicircle overlay, as CSV."""
     values = np.asarray(values, dtype=float)
-    lo = min(-support * sigma, float(values.min()))
-    hi = max(support * sigma, float(values.max()))
+    if not np.all(np.isfinite(values)):
+        raise ValueError("histogram values must be finite")
+    lo = min(-_HIST_HALF_WIDTH, float(values.min()))
+    hi = max(_HIST_HALF_WIDTH, float(values.max()))
     counts, edges = np.histogram(values, bins=bins, range=(lo, hi))
     mids = 0.5 * (edges[:-1] + edges[1:])
-    overlay = semicircle_pdf(mids, sigma)
+    overlay = semicircle_pdf(mids)
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["bin_left", "bin_right", "count", "semicircle_pdf"])

@@ -47,7 +47,7 @@ def shared_draws():
                 spec = EnsembleSpec(n=n, distribution=dist_cls(),
                                     seed=trial_seed(1000, n, trial))
                 w = sample_general(spec)
-                entries.append((w, SpectralSample.from_matrix(w, tol=1e-8)))
+                entries.append((w, SpectralSample.from_matrix(w)))
             draws[kind, n] = entries
     return draws
 

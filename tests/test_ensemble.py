@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from quatspectra import ensemble
 from quatspectra.ensemble import (EnsembleSpec, EtaSchedule, GSECoefficients,
                                   RademacherCoefficients, SelfDualMatrix,
                                   SpecError, TwoPointCoefficients,
@@ -117,15 +118,14 @@ def test_two_point_requires_zero_mean():
 
 
 def test_user_distribution_normalized_and_validated():
-    dist = UserCoefficients(lambda rng, size: 3.0 * rng.standard_normal((size, 4)),
-                            name="wide-normal")
+    dist = UserCoefficients(lambda rng, size: 3.0 * rng.standard_normal((size, 4)))
     w = sample_general(EnsembleSpec(n=40, distribution=dist, seed=21))
     unscaled = w.coeffs / w.scale
     off = ~np.eye(40, dtype=bool)
     assert (unscaled[off]**2).sum(axis=1).mean() == pytest.approx(1.0, abs=0.05)
 
     shifted = UserCoefficients(
-        lambda rng, size: 1.0 + rng.standard_normal((size, 4)), name="shifted")
+        lambda rng, size: 1.0 + rng.standard_normal((size, 4)))
     with pytest.raises(SpecError):
         shifted.validate()
     with pytest.raises(SpecError):
@@ -143,12 +143,20 @@ def test_distribution_json_roundtrip():
 
 def test_ensemble_spec_json_roundtrip():
     spec = EnsembleSpec(n=12, distribution=spiky_two_point(), seed=77,
-                        diagonal_bound=2.0, eta=EtaSchedule("constant", 0.4))
+                        eta=EtaSchedule("constant", 0.4))
     clone = EnsembleSpec.from_json(spec.to_json())
     assert clone.n == 12 and clone.seed == 77
     assert clone.eta.eta(50) == 0.4
     assert np.array_equal(sample_general(spec).coeffs,
                           sample_general(clone).coeffs)
+
+
+def test_ensemble_spec_json_has_no_diagonal_bound():
+    spec = gse_spec(5, 3)
+    obj = spec.to_json()
+    assert "diagonal_bound" not in obj
+    clone = EnsembleSpec.from_json({**obj, "diagonal_bound": 4.0})
+    assert clone.to_json() == obj
 
 
 def test_eta_schedule():
@@ -302,7 +310,7 @@ def test_zero_diagonal_levy_bound_after_truncation():
 def test_centralize_symmetric_law_is_identity():
     spec = gse_spec(25, 7)
     w = sample_general(spec)
-    out, _ = centralize(w, spec)
+    out, _ = centralize(w, spec.distribution.truncated_mean(spec.eta_n() * 5.0))
     assert np.array_equal(out.coeffs, w.coeffs)
 
 
@@ -311,10 +319,10 @@ def test_centralize_two_point_matches_enumeration_oracle():
     spec = EnsembleSpec(n=10, distribution=dist, seed=9,
                         eta=EtaSchedule("constant", 0.3))
     w = sample_general(spec)
-    out, _ = centralize(w, spec)
+    c = spec.eta_n() * math.sqrt(10)
+    out, _ = centralize(w, dist.truncated_mean(c))
     out.check()
 
-    c = spec.eta_n() * math.sqrt(10)
     values = np.array([dist.lo, dist.hi]) * dist._scale
     probs = np.array([1 - dist.p, dist.p])
     mu = two_point_truncated_mean(values, probs, c)
@@ -330,7 +338,8 @@ def test_centralize_record_is_the_pipeline_stage_record():
                         eta=EtaSchedule("constant", 0.3))
     staged, _ = truncate(sample_general(spec), spec.eta_n())
     staged, _ = zero_diagonal(staged)
-    _, record = centralize(staged, spec)
+    c = spec.eta_n() * math.sqrt(10)
+    _, record = centralize(staged, spec.distribution.truncated_mean(c))
     _, trace = run_pipeline(spec, keep_matrices=False)
     assert record.centering_shift_norm > 0
     assert record.to_json() == trace.stages[2].to_json()
@@ -355,7 +364,8 @@ def test_rescale_pure_division_when_variance_high():
     spec = gse_spec(20, 10, eta=EtaSchedule("constant", 5.0))
     w = sample_general(spec)
     wz, _ = zero_diagonal(w)
-    out, record = rescale(wz, spec)
+    c = spec.eta_n() * math.sqrt(20)
+    out, record = rescale(wz, spec.distribution.truncated_second_moment(c), spec.seed)
     assert record.variance_floor_replacements == 0
     sigma = record.details["sigma"]
     assert sigma == pytest.approx(1.0, abs=1e-6)
@@ -376,8 +386,8 @@ def test_rescale_replaces_all_pairs_when_variance_floors():
     w = sample_general(spec)
     staged, _ = truncate(w, spec.eta_n())
     staged, _ = zero_diagonal(staged)
-    staged, _ = centralize(staged, spec)
-    out, record = rescale(staged, spec)
+    staged, _ = centralize(staged, dist.truncated_mean(c))
+    out, record = rescale(staged, sigma_sq, spec.seed)
     out.check()
     assert record.variance_floor_replacements == n * (n - 1) // 2
 
@@ -412,6 +422,21 @@ def test_pipeline_is_deterministic():
     b, tb = run_pipeline(spec)
     assert np.array_equal(a.coeffs, b.coeffs)
     assert ta.to_json() == tb.to_json()
+
+
+def test_pipeline_estimates_truncated_moments_once():
+    # A law without closed-form truncated moments is estimated from one
+    # Monte Carlo batch, shared by the centralize and rescale stages.
+    sizes = []
+
+    def sampler(rng, size):
+        sizes.append(size)
+        return rng.uniform(-1.0, 1.0, size=(size, 4))
+
+    spec = EnsembleSpec(n=6, distribution=UserCoefficients(sampler), seed=4,
+                        eta=EtaSchedule("constant", 0.3))
+    run_pipeline(spec, keep_matrices=False)
+    assert sizes.count(ensemble._MOMENT_SAMPLES) == 1
 
 
 def test_pipeline_final_entry_bound():

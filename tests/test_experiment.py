@@ -79,6 +79,13 @@ def test_config_validation_errors(tmp_path):
     for tol in (-1.0, math.nan, math.inf):
         with pytest.raises(ConfigError):
             small_config(tmp_path, check_tol=tol).validate()
+    for params in ({"inversion_dims": []}, {"inversion_dims": [0]},
+                   {"inversion_dims": ["a"]}, {"inversion_dims": [1.5]},
+                   {"inversion_dims": 3}, {"inversion_trials": -1},
+                   {"inversion_trials": 0}, {"inversion_trials": "10"},
+                   {"inversion_dim": [1, 2]}):
+        with pytest.raises(ConfigError):
+            small_config(tmp_path, check_params=params).validate()
 
 
 def test_config_json_roundtrip(tmp_path):
@@ -358,12 +365,20 @@ def test_cli_verify_exit_codes(tmp_path):
     assert main(["verify", "--config", str(cfg_path)]) == 1
 
 
-def test_cli_user_errors_exit_code_two(capsys):
+def test_cli_user_errors_exit_code_two(tmp_path, capsys):
     assert main(["sample", "--n", "0"]) == 2
     assert main(["pipeline", "--n", "4", "--eta-exponent", "nan"]) == 2
     assert main(["sample", "--n", "3", "--eta-exponent", "nan"]) == 2
     assert main(["sample", "--n", "3", "--eta-exponent", "inf"]) == 2
     assert "error:" in capsys.readouterr().err
+    config = small_config(tmp_path)
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps(config.to_json()))
+    for jobs in ("0", "-3"):
+        assert main(["sweep", "--config", str(cfg_path), "--jobs", jobs]) == 2
+        with pytest.raises(ConfigError):
+            run(config, jobs=int(jobs))
+    assert not (tmp_path / "sweep.csv").exists()
 
 
 def test_cli_bad_config_exit_code(tmp_path):
@@ -379,4 +394,11 @@ def test_cli_bad_config_exit_code(tmp_path):
     assert main(["sweep", "--config", str(bad)]) == 2
     bad.write_text(json.dumps(small_config(tmp_path, check_tol=math.nan).to_json()))
     assert main(["sweep", "--config", str(bad)]) == 2
+    for params in ({"inversion_dims": []}, {"inversion_dims": [0]},
+                   {"inversion_dims": ["a"]}, {"inversion_trials": -5},
+                   {"inversion_trails": 10}):
+        config = default_verify_config()
+        config.check_params = params
+        bad.write_text(json.dumps(config.to_json()))
+        assert main(["verify", "--config", str(bad)]) == 2
     assert not (tmp_path / "sweep.csv").exists()

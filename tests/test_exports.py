@@ -1,4 +1,5 @@
 import importlib
+import inspect
 import runpy
 from pathlib import Path
 
@@ -6,7 +7,22 @@ import pytest
 
 import quatspectra
 from quatspectra import ensemble
-from quatspectra.ensemble import EnsembleSpec, GSECoefficients
+from quatspectra.ensemble import (EnsembleSpec, GSECoefficients, SelfDualMatrix,
+                                  UserCoefficients, lindeberg_statistic)
+from quatspectra.experiment import ExperimentConfig
+from quatspectra.spectra import SpectralSample, histogram_csv, levy_distance
+
+
+@pytest.mark.parametrize("func, param", [
+    (SpectralSample.from_matrix, "tol"), (levy_distance, "tol"),
+    (lindeberg_statistic, "mc_samples"), (SelfDualMatrix.check, "atol"),
+    (histogram_csv, "sigma"), (histogram_csv, "support"),
+    (UserCoefficients, "name"), (UserCoefficients, "check_seed"),
+    (EnsembleSpec, "diagonal_bound"),
+])
+def test_settings_with_one_value_in_use_are_not_parameters(func, param):
+    # Each of these is a module constant or gone; no caller set another value.
+    assert param not in inspect.signature(func).parameters
 
 
 @pytest.mark.parametrize("name", ["quaternion", "structure", "ensemble",
@@ -45,3 +61,14 @@ def test_benchmark_tracer_sees_every_pipeline_stage_and_restores():
     assert ensemble.centralize is original
     assert ensemble.centralize_stage is original
     assert quatspectra.centralize is original
+
+
+def test_every_benchmark_workload_config_is_valid(tmp_path):
+    # perfbench/run.py hands these configs to the library as they are, so a
+    # stricter validation rule must still accept them.  run_path only reads.
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    workloads = runpy.run_path(str(path))["WORKLOADS"]
+    assert workloads
+    for workload in workloads.values():
+        config = ExperimentConfig.from_json(workload.config_json(0, tmp_path / "out.csv"))
+        config.validate()

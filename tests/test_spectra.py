@@ -450,3 +450,12 @@ def test_histogram_csv_counts_sum(tmp_path):
     counts = [int(r.split(",")[2]) for r in rows]
     assert sum(counts) == 64
     assert len(rows) == 20
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_histogram_csv_rejects_non_finite(tmp_path, bad):
+    # np.histogram drops a NaN without a word and counts only the others.
+    path = tmp_path / "hist.csv"
+    with pytest.raises(ValueError):
+        histogram_csv([bad, 1.0, 0.5], path)
+    assert not path.exists()
