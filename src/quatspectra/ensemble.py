@@ -65,6 +65,10 @@ class SpecError(ValueError):
     """An ensemble description violates the moment conditions."""
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 # ---------------------------------------------------------------------------
 # entry distributions
 # ---------------------------------------------------------------------------
@@ -87,10 +91,6 @@ class Distribution:
         raise NotImplementedError
 
     def validate(self) -> None:
-        return None
-
-    def entry_bound(self) -> Optional[float]:
-        """Supremum of ``||x||`` for off-diagonal entries, or None if unbounded."""
         return None
 
     def truncated_mean(self, c: float) -> Optional[np.ndarray]:
@@ -157,9 +157,6 @@ class RademacherCoefficients(Distribution):
     def sample_diag(self, rng, size):
         return rng.choice([-1.0, 1.0], size=size)
 
-    def entry_bound(self):
-        return 1.0  # ||x|| = 1 identically
-
     def truncated_mean(self, c):
         return np.zeros(4)
 
@@ -185,17 +182,11 @@ class UniformCoefficients(Distribution):
     def sample_diag(self, rng, size):
         return rng.uniform(-2.0 * self._half, 2.0 * self._half, size=size)
 
-    def entry_bound(self):
-        return math.sqrt(3.0)
-
     def truncated_mean(self, c):
         return np.zeros(4)
 
     def truncated_second_moment(self, c):
         return 1.0 if c >= math.sqrt(3.0) else None
-
-    def tail_second_moment(self, c):
-        return 0.0 if c >= math.sqrt(3.0) else None
 
     def diag_tail_second_moment(self, c):
         b = math.sqrt(3.0)
@@ -244,9 +235,6 @@ class TwoPointCoefficients(Distribution):
 
     def sample_diag(self, rng, size):
         return 2.0 * rng.choice(self._values(), size=size, p=self._probs())
-
-    def entry_bound(self):
-        return 2.0 * float(np.max(np.abs(self._values())))
 
     def _enumerate(self):
         vals = self._values()
@@ -392,8 +380,10 @@ class EnsembleSpec:
     eta: EtaSchedule = field(default_factory=EtaSchedule)
 
     def validate(self) -> None:
-        if self.n < 1:
-            raise SpecError(f"dimension must be positive, got {self.n}")
+        if not (_is_int(self.n) and self.n >= 1):
+            raise SpecError(f"dimension must be an integer >= 1, got {self.n!r}")
+        if not (_is_int(self.seed) and self.seed >= 0):
+            raise SpecError(f"seed must be an integer >= 0, got {self.seed!r}")
         eta = self.eta
         if eta.kind not in ("power", "constant"):
             raise SpecError(f"unknown eta schedule kind {eta.kind!r}")
@@ -416,9 +406,9 @@ class EnsembleSpec:
     @classmethod
     def from_json(cls, obj: dict) -> "EnsembleSpec":
         return cls(
-            n=int(obj["n"]),
+            n=obj["n"],
             distribution=distribution_from_json(obj["distribution"]),
-            seed=int(obj["seed"]),
+            seed=obj["seed"],
             eta=EtaSchedule.from_json(obj.get("eta", {})),
         )
 
@@ -521,8 +511,7 @@ def lindeberg_statistic(spec: EnsembleSpec, eta: float) -> float:
 
     For i.i.d. entries this reduces to single-entry expectations (one for the
     off-diagonal law, one for the diagonal), evaluated in closed form when
-    the distribution provides one, by the bounded-support shortcut when the
-    threshold exceeds the entry bound, and otherwise by ``_LINDEBERG_SAMPLES``
+    the distribution provides one, and otherwise by ``_LINDEBERG_SAMPLES``
     Monte Carlo draws from an offset stream of ``spec.seed``.
     """
     if not (eta > 0 and math.isfinite(eta)):
@@ -533,14 +522,10 @@ def lindeberg_statistic(spec: EnsembleSpec, eta: float) -> float:
 
     off_tail = dist.tail_second_moment(c)
     if off_tail is None:
-        bound = dist.entry_bound()
-        if bound is not None and c > bound:
-            off_tail = 0.0
-        else:
-            rng = _moments_rng(spec)
-            draws = dist.sample_coeffs(rng, _LINDEBERG_SAMPLES)
-            sq = (draws**2).sum(axis=1)
-            off_tail = float((sq * (np.sqrt(sq) >= c)).mean())
+        rng = _moments_rng(spec)
+        draws = dist.sample_coeffs(rng, _LINDEBERG_SAMPLES)
+        sq = (draws**2).sum(axis=1)
+        off_tail = float((sq * (np.sqrt(sq) >= c)).mean())
 
     diag_tail = dist.diag_tail_second_moment(c)
     if diag_tail is None:

@@ -16,14 +16,16 @@ import functools
 import hashlib
 import json
 import math
+import os
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 from typing import Optional
 
 from . import spectra
-from .ensemble import EnsembleSpec, SelfDualMatrix, run_pipeline, sample_general
+from .ensemble import (EnsembleSpec, SelfDualMatrix, _is_int, run_pipeline,
+                       sample_general)
 from .spectra import (ESD, SpectralSample, empirical_stieltjes, histogram_csv,
                       kolmogorov_distance, levy_distance,
                       resolvent_structure_check, semicircle_cdf,
@@ -54,7 +56,20 @@ class ConfigError(ValueError):
 
 
 def _is_count(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool) and value >= 1
+    return _is_int(value) and value >= 1
+
+
+def _is_real(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _z_grid_from_json(pairs) -> list:
+    """Grid points of the JSON form, a list of ``[re, im]`` pairs of numbers."""
+    if not (isinstance(pairs, list) and all(
+            isinstance(p, list) and len(p) == 2 and all(map(_is_real, p)) for p in pairs)):
+        raise ConfigError(f"z_grid must be a list of [re, im] pairs of numbers, "
+                          f"got {pairs!r}")
+    return [complex(re, im) for re, im in pairs]
 
 
 def trial_seed(seed: int, n: int, trial: int) -> int:
@@ -85,27 +100,36 @@ class ExperimentConfig:
     check_params: dict = field(default_factory=dict)
 
     def validate(self) -> None:
-        if not self.sizes:
-            raise ConfigError("sizes must be nonempty")
-        if any(int(n) < 1 for n in self.sizes):
-            raise ConfigError("sizes must be positive")
-        if list(self.sizes) != sorted(set(int(n) for n in self.sizes)):
-            raise ConfigError(f"sizes must be strictly increasing, got {self.sizes}")
-        if self.trials_per_size < 1:
-            raise ConfigError("trials_per_size must be at least 1")
+        """Check every field's type and range; raise ConfigError (or SpecError)."""
+        sizes = self.sizes
+        if not (isinstance(sizes, list) and sizes and all(map(_is_count, sizes))):
+            raise ConfigError(f"sizes must be a nonempty list of integers >= 1, "
+                              f"got {sizes!r}")
+        if any(a >= b for a, b in zip(sizes, sizes[1:])):
+            raise ConfigError(f"sizes must be strictly increasing, got {sizes}")
+        if not _is_count(self.trials_per_size):
+            raise ConfigError(f"trials_per_size must be an integer >= 1, "
+                              f"got {self.trials_per_size!r}")
         for z in self.z_grid:
-            z = complex(z)
-            if not (cmath.isfinite(z) and z.imag > 0):
-                raise ConfigError(f"z grid point {z} is not a finite point "
+            if not (isinstance(z, complex) and cmath.isfinite(z) and z.imag > 0):
+                raise ConfigError(f"z grid point {z!r} is not a finite point "
                                   "of the upper half plane")
+        for name, value in (("pipeline", self.pipeline), ("histograms", self.histograms)):
+            if not isinstance(value, bool):
+                raise ConfigError(f"{name} must be true or false, got {value!r}")
+        if not isinstance(self.output_path, (str, os.PathLike)):
+            raise ConfigError(f"output path must be a string, got {self.output_path!r}")
         if self.output_format not in ("csv", "json"):
             raise ConfigError(f"unknown output format {self.output_format!r}")
-        unknown = set(self.checks) - set(KNOWN_CHECKS)
-        if unknown:
-            raise ConfigError(f"unknown checks {sorted(unknown)}")
-        if not (self.check_tol >= 0 and math.isfinite(self.check_tol)):
+        checks = self.checks
+        if not (isinstance(checks, tuple) and all(c in KNOWN_CHECKS for c in checks)):
+            raise ConfigError(f"checks must be a list of names from {list(KNOWN_CHECKS)}, "
+                              f"got {checks!r}")
+        if not (_is_real(self.check_tol) and 0 <= self.check_tol < math.inf):
             raise ConfigError(f"check_tol must be finite and nonnegative, "
-                              f"got {self.check_tol}")
+                              f"got {self.check_tol!r}")
+        if not isinstance(self.check_params, dict):
+            raise ConfigError(f"check_params must be an object, got {self.check_params!r}")
         params = {**_CHECK_PARAMS, **self.check_params}
         dims, trials = params.pop("inversion_dims"), params.pop("inversion_trials")
         if params:
@@ -120,9 +144,9 @@ class ExperimentConfig:
     def to_json(self) -> dict:
         return {
             "ensemble": self.ensemble.to_json(),
-            "sizes": [int(n) for n in self.sizes],
+            "sizes": list(self.sizes),
             "trials_per_size": self.trials_per_size,
-            "z_grid": [[complex(z).real, complex(z).imag] for z in self.z_grid],
+            "z_grid": [[z.real, z.imag] for z in self.z_grid],
             "pipeline": self.pipeline,
             "checks": list(self.checks),
             "output": {"path": self.output_path, "format": self.output_format},
@@ -133,24 +157,26 @@ class ExperimentConfig:
 
     @classmethod
     def from_json(cls, obj: dict) -> "ExperimentConfig":
+        """Build a config from its JSON form; an absent key takes the field default.
+
+        Only the keys whose JSON form differs from the field are converted:
+        ``ensemble``, ``z_grid`` (``[re, im]`` pairs), ``output`` (``{"path",
+        "format"}``) and ``checks`` (a list).  An unknown key raises
+        ConfigError, and :meth:`validate` checks every value's type.
+        """
         try:
-            ensemble = EnsembleSpec.from_json(obj["ensemble"])
-            output = obj.get("output", {})
-            cfg = cls(
-                ensemble=ensemble,
-                sizes=[int(n) for n in obj["sizes"]],
-                trials_per_size=int(obj.get("trials_per_size", 1)),
-                z_grid=[complex(re, im) for re, im in obj.get(
-                    "z_grid", [[0, 1], [0, 2], [1, 1], [-1, 1]])],
-                pipeline=bool(obj.get("pipeline", False)),
-                checks=tuple(obj.get("checks", ())),
-                output_path=output.get("path", "sweep.csv"),
-                output_format=output.get("format", "csv"),
-                histograms=bool(obj.get("histograms", False)),
-                check_tol=float(obj.get("check_tol", 1e-8)),
-                check_params=dict(obj.get("check_params", {})),
-            )
-        except (KeyError, TypeError, ValueError) as exc:
+            kwargs = {**obj, "ensemble": EnsembleSpec.from_json(obj["ensemble"])}
+            if "z_grid" in obj:
+                kwargs["z_grid"] = _z_grid_from_json(obj["z_grid"])
+            if isinstance(obj.get("checks"), list):
+                kwargs["checks"] = tuple(obj["checks"])
+            output = kwargs.pop("output", {})
+            if not isinstance(output, dict):
+                raise ConfigError(f"output must be an object, got {output!r}")
+            if kwargs.keys() & {"output_path", "output_format"}:
+                raise ConfigError('output path and format belong in "output"')
+            cfg = cls(**kwargs, **{f"output_{key}": value for key, value in output.items()})
+        except (KeyError, TypeError, ValueError, AttributeError, OverflowError) as exc:
             if isinstance(exc, ConfigError):
                 raise
             raise ConfigError(f"malformed configuration: {exc}") from exc
@@ -180,30 +206,15 @@ class ConvergenceRow:
     def to_json(self) -> dict:
         # wall_time is excluded: emitted artifacts must be byte-identical
         # across reruns, and timing is scheduling noise.
-        return {
-            "n": self.n,
-            "seed": self.seed,
-            "trial": self.trial,
-            "kolmogorov": self.kolmogorov,
-            "levy": self.levy,
-            "stieltjes_errors": self.stieltjes_errors,
-            "pipeline_summary": self.pipeline_summary,
-            "check_failures": self.check_failures,
-        }
+        return {k: v for k, v in asdict(self).items() if k != "wall_time"}
 
 
 def _draws(config: ExperimentConfig):
     """``(trial, spec)`` of every draw of a run, in ``(n, trial)`` order."""
     base = config.ensemble
     for n in config.sizes:
-        n = int(n)
         for trial in range(config.trials_per_size):
-            yield trial, EnsembleSpec(
-                n=n,
-                distribution=base.distribution,
-                seed=trial_seed(base.seed, n, trial),
-                eta=base.eta,
-            )
+            yield trial, replace(base, n=n, seed=trial_seed(base.seed, n, trial))
 
 
 # Sweep message of a failed resolvent check, filled from its failure fields.
@@ -250,7 +261,7 @@ def _run_trial(config: ExperimentConfig, hist_dir, draw) -> ConvergenceRow:
     serrs = {}
     for z in config.z_grid:
         point = empirical_stieltjes(sample, z)
-        serrs[stieltjes_label(complex(z))] = abs(point.value - semicircle_stieltjes(z))
+        serrs[stieltjes_label(z)] = abs(point.value - semicircle_stieltjes(z))
 
     failures = []
     try:
@@ -337,7 +348,7 @@ class CheckResult:
     details: dict
 
     def to_json(self) -> dict:
-        return {"name": self.name, "passed": self.passed, "details": self.details}
+        return asdict(self)
 
 
 @dataclass
@@ -432,7 +443,7 @@ def verify(config: ExperimentConfig) -> VerificationReport:
                 worst[name] = max(worst[name], value)
                 if not passed:
                     failures[name].append({"n": spec.n, "seed": spec.seed,
-                                           "z": [complex(z).real, complex(z).imag],
+                                           "z": [z.real, z.imag],
                                            **failure})
         if _BOUND_KEYS.keys() & counts.keys():
             for entry in check_pipeline_bounds(spec, w):
@@ -464,5 +475,5 @@ def default_verify_config(seed: int = 0) -> ExperimentConfig:
         z_grid=[1j, 1 + 1j],
         pipeline=True,
         checks=KNOWN_CHECKS,
-        check_params={"inversion_dims": list(range(1, 9)), "inversion_trials": 200},
+        check_params={"inversion_trials": 200},
     )

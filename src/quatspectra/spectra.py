@@ -14,7 +14,7 @@ from __future__ import annotations
 import cmath
 import csv
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Optional
 
 import numpy as np
@@ -347,14 +347,9 @@ class ResolventStructureReport:
     witness: Optional[tuple]
 
     def to_json(self) -> dict:
-        return {
-            "z": [self.z.real, self.z.imag],
-            "passed": self.passed,
-            "classification": self.classification,
-            "passing": list(self.passing),
-            "max_residual": self.max_residual,
-            "witness": list(self.witness) if self.witness else None,
-        }
+        return {**asdict(self), "z": [self.z.real, self.z.imag],
+                "passing": list(self.passing),
+                "witness": list(self.witness) if self.witness else None}
 
 
 def resolvent_structure_check(w: SelfDualMatrix, z: complex,

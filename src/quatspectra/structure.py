@@ -22,7 +22,7 @@ invertible Type-II matrix is Type-I.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Optional
 
 import numpy as np
@@ -398,14 +398,8 @@ class InversionCheckReport:
         return self.passes == self.trials
 
     def to_json(self) -> dict:
-        return {
-            "n": self.n,
-            "trials": self.trials,
-            "passes": self.passes,
-            "resamples": self.resamples,
-            "max_residual": self.max_residual,
-            "worst_witness": list(self.worst_witness) if self.worst_witness else None,
-        }
+        return {**asdict(self),
+                "worst_witness": list(self.worst_witness) if self.worst_witness else None}
 
 
 def _well_conditioned(A: np.ndarray) -> bool:

@@ -183,6 +183,17 @@ def test_spec_rejects_invalid_eta_schedule(eta):
         sample_general(spec)
 
 
+@pytest.mark.parametrize("n, seed", [
+    (2.5, 0), ("3", 0), (True, 0), (3, -1), (3, 1.5), (3, "1"), (3, None),
+])
+def test_spec_rejects_non_integer_dimension_or_negative_seed(n, seed):
+    spec = EnsembleSpec(n=n, distribution=GSECoefficients(), seed=seed)
+    with pytest.raises(SpecError):
+        spec.validate()
+    with pytest.raises(SpecError):
+        sample_general(spec)
+
+
 # ---------------------------------------------------------------------------
 # tail-moment diagnostic
 # ---------------------------------------------------------------------------

@@ -2,14 +2,18 @@ import csv
 import hashlib
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from quatspectra import ensemble, experiment
 from quatspectra.cli import main
 from quatspectra.ensemble import (EnsembleSpec, EtaSchedule, GSECoefficients,
-                                  UserCoefficients, sample_general)
+                                  SpecError, UserCoefficients,
+                                  distribution_from_json, sample_general)
 from quatspectra.experiment import (KNOWN_CHECKS, ConfigError,
                                     ExperimentConfig, default_verify_config,
                                     emit, run, stieltjes_label, trial_seed,
@@ -95,6 +99,132 @@ def test_config_json_roundtrip(tmp_path):
     assert clone.to_json() == config.to_json()
     with pytest.raises(ConfigError):
         ExperimentConfig.from_json({"sizes": [2]})
+
+
+@pytest.mark.parametrize("change", [
+    {"trails_per_size": 5},
+    {"pipeline": "false"},
+    {"histograms": "no"},
+    {"sizes": "48"},
+    {"trials_per_size": 2.7},
+    {"sizes": [4.9, 8]},
+    {"output": {"pth": "x.csv"}},
+    {"output_path": "x.csv"},
+    {"ensemble": {"n": 2.5}},
+    {"ensemble": {"seed": -3}},
+], ids=["misspelled_key", "string_pipeline", "string_histograms", "string_sizes",
+        "float_trials", "float_sizes", "misspelled_output_key", "unnested_output_key",
+        "float_n", "negative_seed"])
+def test_from_json_rejects_misread_config(tmp_path, change):
+    obj = small_config(tmp_path).to_json()
+    obj["ensemble"].update(change.get("ensemble", {}))
+    obj.update({key: value for key, value in change.items() if key != "ensemble"})
+    with pytest.raises((ConfigError, SpecError)):
+        ExperimentConfig.from_json(obj)
+
+
+def test_readme_config_example_loads():
+    # The README documents the schema by example; every key must be there
+    # and load to the value it shows.
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("A sweep configuration is JSON:", 1)[1]
+    example = json.loads(section.split("```json", 1)[1].split("```", 1)[0])
+    assert ExperimentConfig.from_json(example).to_json() == example
+
+
+# Every built-in law; a two-point law with mean zero, as validation requires.
+_LAWS = st.one_of(
+    st.sampled_from([{"kind": kind, "params": {}}
+                     for kind in ("gse", "rademacher", "uniform")]),
+    st.builds(lambda p, hi: {"kind": "two_point",
+                             "params": {"lo": -p * hi / (1 - p), "hi": hi, "p": p}},
+              st.floats(0.01, 0.99), st.floats(0.1, 10.0)),
+)
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+_ETAS = st.one_of(st.builds(EtaSchedule, st.just("power"), _FINITE),
+                  st.builds(EtaSchedule, st.just("constant"),
+                            st.floats(min_value=1e-6, max_value=1e6)))
+_CONFIGS = st.builds(
+    ExperimentConfig,
+    ensemble=st.builds(EnsembleSpec, n=st.integers(1, 100),
+                       distribution=_LAWS.map(distribution_from_json),
+                       seed=st.integers(0, 2**64), eta=_ETAS),
+    sizes=st.lists(st.integers(1, 10**4), min_size=1, max_size=4, unique=True).map(sorted),
+    trials_per_size=st.integers(1, 100),
+    z_grid=st.lists(st.builds(complex, _FINITE, st.floats(min_value=1e-6, max_value=1e6)),
+                    max_size=4),
+    pipeline=st.booleans(),
+    checks=st.lists(st.sampled_from(KNOWN_CHECKS), unique=True).map(tuple),
+    output_path=st.text(max_size=8),
+    output_format=st.sampled_from(["csv", "json"]),
+    histograms=st.booleans(),
+    check_tol=st.floats(min_value=0, max_value=1e6),
+    check_params=st.fixed_dictionaries({}, optional={
+        "inversion_dims": st.lists(st.integers(1, 16), min_size=1, max_size=4),
+        "inversion_trials": st.integers(1, 5000)}),
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_CONFIGS)
+def test_config_json_roundtrip_property(config):
+    config.validate()
+    text = json.dumps(config.to_json())
+    assert json.dumps(ExperimentConfig.from_json(json.loads(text)).to_json()) == text
+
+
+def _is_int(value):
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_number(value):
+    return _is_int(value) or isinstance(value, float)
+
+
+def _list_of(ok):
+    return lambda value: isinstance(value, list) and all(map(ok, value))
+
+
+# Each schema key, as a path into the JSON form, with a test for the values of
+# the right JSON type.  Any other value must be rejected.
+_WELL_TYPED = {
+    ("ensemble",): lambda v: isinstance(v, dict),
+    ("ensemble", "n"): _is_int,
+    ("ensemble", "seed"): _is_int,
+    ("ensemble", "distribution"): lambda v: isinstance(v, dict),
+    ("ensemble", "eta"): lambda v: isinstance(v, dict),
+    ("sizes",): _list_of(_is_int),
+    ("trials_per_size",): _is_int,
+    ("z_grid",): _list_of(lambda p: isinstance(p, list) and len(p) == 2
+                          and all(map(_is_number, p))),
+    ("pipeline",): lambda v: isinstance(v, bool),
+    ("checks",): _list_of(lambda v: isinstance(v, str)),
+    ("output",): lambda v: isinstance(v, dict),
+    ("output", "path"): lambda v: isinstance(v, str),
+    ("output", "format"): lambda v: isinstance(v, str),
+    ("histograms",): lambda v: isinstance(v, bool),
+    ("check_tol",): _is_number,
+    ("check_params",): lambda v: isinstance(v, dict),
+}
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner,
+                                                                 max_size=3),
+    max_leaves=6)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_CONFIGS, st.data())
+def test_from_json_rejects_wrong_typed_values(config, data):
+    obj = config.to_json()
+    path = data.draw(st.sampled_from(sorted(_WELL_TYPED)))
+    value = data.draw(_JSON_VALUES.filter(lambda v: not _WELL_TYPED[path](v)))
+    target = obj
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = value
+    with pytest.raises((ConfigError, SpecError)):
+        ExperimentConfig.from_json(obj)
 
 
 # ---------------------------------------------------------------------------
@@ -378,6 +508,11 @@ def test_cli_user_errors_exit_code_two(tmp_path, capsys):
         assert main(["sweep", "--config", str(cfg_path), "--jobs", jobs]) == 2
         with pytest.raises(ConfigError):
             run(config, jobs=int(jobs))
+    assert main(["sample", "--n", "3", "--seed", "-1"]) == 2
+    assert main(["verify", "--seed", "-2"]) == 2
+    config.ensemble.seed = -3
+    cfg_path.write_text(json.dumps(config.to_json()))
+    assert main(["verify", "--config", str(cfg_path)]) == 2
     assert not (tmp_path / "sweep.csv").exists()
 
 
@@ -401,4 +536,7 @@ def test_cli_bad_config_exit_code(tmp_path):
         config.check_params = params
         bad.write_text(json.dumps(config.to_json()))
         assert main(["verify", "--config", str(bad)]) == 2
+    for change in ({"checks": [["trace_minor"]]}, {"output": "x.csv"}, {"sizes": "48"}):
+        bad.write_text(json.dumps({**small_config(tmp_path).to_json(), **change}))
+        assert main(["sweep", "--config", str(bad)]) == 2
     assert not (tmp_path / "sweep.csv").exists()
