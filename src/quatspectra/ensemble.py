@@ -69,6 +69,10 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+def _is_real(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 # ---------------------------------------------------------------------------
 # entry distributions
 # ---------------------------------------------------------------------------
@@ -326,10 +330,17 @@ _BUILTINS = {
 
 
 def distribution_from_json(obj: dict) -> Distribution:
+    """Built-in law from ``{"kind": ..., "params": {...}}``; casts nothing."""
     kind = obj.get("kind")
     if kind not in _BUILTINS:
         raise SpecError(f"unknown distribution kind {kind!r}")
-    return _BUILTINS[kind](**obj.get("params", {}))
+    unknown = obj.keys() - {"kind", "params"}
+    if unknown:
+        raise SpecError(f"unknown distribution keys {sorted(unknown)}")
+    params = obj.get("params", {})
+    if not (isinstance(params, dict) and all(map(_is_real, params.values()))):
+        raise SpecError(f"distribution params must map names to numbers, got {params!r}")
+    return _BUILTINS[kind](**params)
 
 
 # ---------------------------------------------------------------------------
@@ -362,12 +373,17 @@ class EtaSchedule:
 
     @classmethod
     def from_json(cls, obj: dict) -> "EtaSchedule":
+        """Inverse of :meth:`to_json`; an absent kind or exponent takes the default."""
         kind = obj.get("kind", "power")
+        key = {"power": "exponent", "constant": "value"}.get(kind)
+        if key is None:
+            raise SpecError(f"unknown eta schedule kind {kind!r}")
+        unknown = obj.keys() - {"kind", key}
+        if unknown:
+            raise SpecError(f"unknown keys {sorted(unknown)} in a {kind} eta schedule")
         if kind == "power":
-            return cls("power", float(obj.get("exponent", cls.value)))
-        if kind == "constant":
-            return cls("constant", float(obj["value"]))
-        raise SpecError(f"unknown eta schedule kind {kind!r}")
+            return cls("power", obj.get("exponent", cls.value))
+        return cls("constant", obj["value"])
 
 
 @dataclass
@@ -387,9 +403,10 @@ class EnsembleSpec:
         eta = self.eta
         if eta.kind not in ("power", "constant"):
             raise SpecError(f"unknown eta schedule kind {eta.kind!r}")
-        if not math.isfinite(eta.value) or (eta.kind == "constant" and not eta.value > 0):
-            raise SpecError(f"eta schedule value must be finite (and positive when "
-                            f"constant), got {eta.kind} {eta.value}")
+        if not (_is_real(eta.value) and math.isfinite(eta.value)) \
+                or (eta.kind == "constant" and not eta.value > 0):
+            raise SpecError(f"eta schedule value must be a finite number (positive when "
+                            f"constant), got {eta.kind} {eta.value!r}")
         self.distribution.validate()
 
     def eta_n(self) -> float:
@@ -405,6 +422,10 @@ class EnsembleSpec:
 
     @classmethod
     def from_json(cls, obj: dict) -> "EnsembleSpec":
+        # "diagonal_bound" is a setting that no longer exists; old files keep it.
+        unknown = obj.keys() - {"n", "distribution", "seed", "eta", "diagonal_bound"}
+        if unknown:
+            raise SpecError(f"unknown ensemble keys {sorted(unknown)}")
         return cls(
             n=obj["n"],
             distribution=distribution_from_json(obj["distribution"]),
@@ -514,6 +535,7 @@ def lindeberg_statistic(spec: EnsembleSpec, eta: float) -> float:
     the distribution provides one, and otherwise by ``_LINDEBERG_SAMPLES``
     Monte Carlo draws from an offset stream of ``spec.seed``.
     """
+    spec.validate()
     if not (eta > 0 and math.isfinite(eta)):
         raise SpecError(f"eta must be positive and finite, got {eta}")
     n = spec.n
@@ -728,14 +750,18 @@ def run_pipeline(spec: EnsembleSpec, w: Optional[SelfDualMatrix] = None,
                  keep_matrices: bool = True):
     """Run truncate -> zero diagonal -> centralize -> rescale with diagnostics.
 
-    Returns ``(final matrix, PipelineTrace)``.  The truncated moments are
-    computed once and handed to the centralize and rescale stages.  Every
-    stage output is checked to still be a valid self-dual matrix.  With
-    ``keep_matrices`` the trace retains each stage's matrix so the Levy/rank
-    inequalities can be verified against eigenvalue computations.
+    ``w`` defaults to a fresh draw of ``spec``; a given ``w`` must have
+    ``w.n == spec.n``.  Returns ``(final matrix, PipelineTrace)``.  The
+    truncated moments are computed once and handed to the centralize and
+    rescale stages.  Every stage output is checked to still be a valid
+    self-dual matrix.  With ``keep_matrices`` the trace retains each stage's
+    matrix so the Levy/rank inequalities can be verified against eigenvalue
+    computations.
     """
     if w is None:
         w = sample_general(spec)
+    elif w.n != spec.n:
+        raise SpecError(f"matrix has n={w.n}, but the spec has n={spec.n}")
     w.check()
     eta_n = spec.eta_n()
     trace = PipelineTrace(eta_n=eta_n, threshold=eta_n * math.sqrt(w.n))

@@ -24,8 +24,8 @@ from pathlib import Path
 from typing import Optional
 
 from . import spectra
-from .ensemble import (EnsembleSpec, SelfDualMatrix, _is_int, run_pipeline,
-                       sample_general)
+from .ensemble import (EnsembleSpec, SelfDualMatrix, _is_int, _is_real,
+                       run_pipeline, sample_general)
 from .spectra import (ESD, SpectralSample, empirical_stieltjes, histogram_csv,
                       kolmogorov_distance, levy_distance,
                       resolvent_structure_check, semicircle_cdf,
@@ -57,10 +57,6 @@ class ConfigError(ValueError):
 
 def _is_count(value) -> bool:
     return _is_int(value) and value >= 1
-
-
-def _is_real(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
 def _z_grid_from_json(pairs) -> list:

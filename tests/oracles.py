@@ -107,3 +107,25 @@ def type2_by_loop(n: int, t: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
             out[2 * j:2 * j + 2, 2 * k:2 * k + 2] = B + 1j * C
             out[2 * k:2 * k + 2, 2 * j:2 * j + 2] = B.conj().T + 1j * C.conj().T
     return out
+
+
+def trace_minor_differences_by_minors(a: np.ndarray, z: complex) -> np.ndarray:
+    """``|tr R - tr R_k|`` for each quaternion minor, one dense solve per minor.
+
+    ``a`` is a ``2n x 2n`` embedding; minor ``k`` drops complex rows and
+    columns ``2k`` and ``2k + 1``, and each resolvent is solved afresh.
+    """
+    a = np.asarray(a, dtype=complex)
+    n = a.shape[0] // 2
+
+    def trace_of_resolvent(m):
+        eye = np.eye(m.shape[0], dtype=complex)
+        return np.trace(np.linalg.solve(m - z * eye, eye))
+
+    tr_full = trace_of_resolvent(a)
+    diffs = np.empty(n)
+    for k in range(n):
+        keep = np.ones(2 * n, dtype=bool)
+        keep[2 * k:2 * k + 2] = False
+        diffs[k] = abs(tr_full - trace_of_resolvent(a[np.ix_(keep, keep)]))
+    return diffs

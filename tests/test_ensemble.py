@@ -12,6 +12,7 @@ from quatspectra.ensemble import (EnsembleSpec, EtaSchedule, GSECoefficients,
                                   lindeberg_statistic, rescale, run_pipeline,
                                   sample_general, sample_gse, truncate,
                                   zero_diagonal)
+from quatspectra.experiment import check_pipeline_bounds
 from quatspectra.spectra import ESD, embed, hermitian_eigenvalues, levy_distance
 
 from oracles import (gse_tail_second_moment_by_quadrature,
@@ -238,6 +239,12 @@ def test_lindeberg_requires_positive_eta():
             lindeberg_statistic(gse_spec(10, 0), eta=eta)
 
 
+def test_lindeberg_validates_the_spec():
+    # n = 0 would reach the division by n**2.
+    with pytest.raises(SpecError, match="dimension"):
+        lindeberg_statistic(gse_spec(0, 0), eta=0.5)
+
+
 # ---------------------------------------------------------------------------
 # pipeline stages
 # ---------------------------------------------------------------------------
@@ -448,6 +455,18 @@ def test_pipeline_estimates_truncated_moments_once():
                         eta=EtaSchedule("constant", 0.3))
     run_pipeline(spec, keep_matrices=False)
     assert sizes.count(ensemble._MOMENT_SAMPLES) == 1
+
+
+def test_pipeline_rejects_a_draw_of_another_size():
+    # The truncation level comes from spec.n: a spec with n=10 would cut a
+    # 50 x 50 draw at eta_n = 10**-0.125 instead of 50**-0.125.
+    law = TwoPointCoefficients(lo=-1.0, hi=9.0, p=0.1)
+    spec = EnsembleSpec(n=10, distribution=law, seed=3)
+    w = sample_general(EnsembleSpec(n=50, distribution=law, seed=3))
+    with pytest.raises(SpecError, match="n=50"):
+        run_pipeline(spec, w)
+    with pytest.raises(SpecError, match="n=50"):
+        check_pipeline_bounds(spec, w)
 
 
 def test_pipeline_final_entry_bound():

@@ -112,9 +112,18 @@ def test_config_json_roundtrip(tmp_path):
     {"output_path": "x.csv"},
     {"ensemble": {"n": 2.5}},
     {"ensemble": {"seed": -3}},
+    {"ensemble": {"etta": {"kind": "constant", "value": 0.5}}},
+    {"ensemble": {"eta": {"kind": "power", "exponant": 0.5}}},
+    {"ensemble": {"eta": {"kind": "power", "exponent": True}}},
+    {"ensemble": {"eta": {"kind": "constant", "value": "0.5"}}},
+    {"ensemble": {"distribution": {"kind": "gse", "parmas": {}}}},
+    {"ensemble": {"distribution": {"kind": "two_point",
+                                   "params": {"lo": "-1", "hi": 1.0, "p": 0.5}}}},
 ], ids=["misspelled_key", "string_pipeline", "string_histograms", "string_sizes",
         "float_trials", "float_sizes", "misspelled_output_key", "unnested_output_key",
-        "float_n", "negative_seed"])
+        "float_n", "negative_seed", "misspelled_eta_key", "misspelled_exponent_key",
+        "bool_exponent", "string_eta_value", "misspelled_params_key",
+        "string_two_point_param"])
 def test_from_json_rejects_misread_config(tmp_path, change):
     obj = small_config(tmp_path).to_json()
     obj["ensemble"].update(change.get("ensemble", {}))
@@ -539,4 +548,8 @@ def test_cli_bad_config_exit_code(tmp_path):
     for change in ({"checks": [["trace_minor"]]}, {"output": "x.csv"}, {"sizes": "48"}):
         bad.write_text(json.dumps({**small_config(tmp_path).to_json(), **change}))
         assert main(["sweep", "--config", str(bad)]) == 2
+    misspelled_eta = small_config(tmp_path).to_json()
+    misspelled_eta["ensemble"]["etta"] = {"kind": "constant", "value": 0.5}
+    bad.write_text(json.dumps(misspelled_eta))
+    assert main(["sweep", "--config", str(bad)]) == 2
     assert not (tmp_path / "sweep.csv").exists()

@@ -4,8 +4,11 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from quatspectra.ensemble import (EnsembleSpec, RademacherCoefficients,
-                                  SelfDualMatrix, sample_general, sample_gse)
+from quatspectra import spectra
+from quatspectra.ensemble import (EnsembleSpec, EtaSchedule, GSECoefficients,
+                                  RademacherCoefficients, SelfDualMatrix,
+                                  TwoPointCoefficients, UniformCoefficients,
+                                  run_pipeline, sample_general, sample_gse)
 from quatspectra.spectra import (ESD, DomainError, NotHermitianError,
                                  PairingError, SpectralSample, dedup_pairs,
                                  embed, empirical_stieltjes, esd_to_csv,
@@ -19,7 +22,8 @@ from quatspectra.experiment import (ConfigError, ExperimentConfig,
 from quatspectra.structure import classify
 
 from oracles import (eigenvalues_by_bisection, semicircle_cdf_by_quadrature,
-                     semicircle_stieltjes_by_quadrature)
+                     semicircle_stieltjes_by_quadrature,
+                     trace_minor_differences_by_minors)
 
 
 def constant_matrix(n, a, scale=1.0):
@@ -234,6 +238,10 @@ def test_empirical_stieltjes_matches_resolvent_trace():
 def test_empirical_stieltjes_domain():
     with pytest.raises(DomainError):
         empirical_stieltjes(np.array([1.0, 1.0]), 1.0 - 0.5j)
+    # 1/(nan - z) would turn the whole transform into NaN
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="finite"):
+            empirical_stieltjes(np.array([bad, 1.0]), 1j)
 
 
 def test_shifted_transform_magnitude_lower_bound():
@@ -347,6 +355,26 @@ def test_resolvent_closed_forms():
         resolvent(np.eye(2, dtype=complex), 0.5)
 
 
+def _nan_entry_matrix():
+    co = sample_gse(3, seed=0).coeffs.copy()
+    co[1, 1, 0] = math.nan
+    return SelfDualMatrix(co, 1.0)
+
+
+@pytest.mark.parametrize("call, match", [
+    (lambda: resolvent(np.array([[math.nan, 0.0], [0.0, 1.0]]), 1j), "matrix entries"),
+    (lambda: resolvent(np.diag([math.inf, 1.0]), 1j), "matrix entries"),
+    (lambda: resolvent(np.ones((2, 4)), 1j), "square"),
+    (lambda: resolvent_structure_check(_nan_entry_matrix(), 1j), "matrix entries"),
+    (lambda: trace_minor_check(_nan_entry_matrix(), 1j), "matrix entries"),
+], ids=["nan", "inf", "non_square", "resolvent_structure_check", "trace_minor_check"])
+def test_resolvent_rejects_bad_matrix(call, match):
+    # solve() turns a NaN entry into an all-NaN resolvent, and the checks
+    # would then fail later with an error that does not name the input.
+    with pytest.raises(ValueError, match=match):
+        call()
+
+
 def test_resolvent_residual_is_small():
     w = sample_gse(12, seed=12)
     A = embed(w).values
@@ -417,6 +445,40 @@ def test_trace_minor_gse_20():
     report = trace_minor_check(w, 0.3 + 0.2j)
     assert report.passed
     assert report.max_difference <= 10.0
+
+
+_ORACLE_LAWS = {"gse": GSECoefficients(), "rademacher": RademacherCoefficients(),
+                "uniform": UniformCoefficients(),
+                "two_point": TwoPointCoefficients(lo=-1.0, hi=9.0, p=0.1)}
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 10, 48])
+@pytest.mark.parametrize("law", sorted(_ORACLE_LAWS))
+def test_trace_minor_matches_per_minor_oracle(law, n):
+    # One resolvent plus the Schur-complement identity against n + 1 dense
+    # solves; n = 1 compares with the empty minor, whose trace is 0.
+    spec = EnsembleSpec(n=n, distribution=_ORACLE_LAWS[law], seed=n + 7,
+                        eta=EtaSchedule("power", 0.35))
+    raw = sample_general(spec)
+    piped, _ = run_pipeline(spec, raw, keep_matrices=False)
+    for w in (raw, piped):
+        for z in (1j, 1 + 1j, -1 + 1j, 0.3 + 0.05j, 2j, 0.01 + 0.01j):
+            expected = trace_minor_differences_by_minors(embed(w).values, z)
+            got = trace_minor_check(w, z).differences
+            assert got.shape == (n,)
+            assert np.max(np.abs(got - expected) / np.abs(expected)) <= 1e-12
+
+
+def test_trace_minor_solves_one_resolvent(monkeypatch):
+    calls = []
+
+    def counting(m, z):
+        calls.append(z)
+        return resolvent(m, z)
+
+    monkeypatch.setattr(spectra, "resolvent", counting)
+    trace_minor_check(sample_gse(6, seed=19), 0.5 + 0.5j)
+    assert len(calls) == 1
 
 
 def test_trace_minor_zero_matrix():
