@@ -27,6 +27,8 @@ from typing import Optional
 
 import numpy as np
 
+from .ensemble import _is_int
+
 __all__ = [
     "BlockMatrix",
     "StructureReport",
@@ -49,6 +51,11 @@ __all__ = [
 # singular and resampled: double-precision inversion error ~ eps * cond
 # would otherwise swamp the 1e-8 structural tolerance.
 _COND_LIMIT = 1e7
+
+# verify_type2_inverse stacks this many trials at a time: enough to amortize
+# the per-call overhead of the batched SVD and inverse on 2n <= 16 matrices,
+# small enough that the stacks add no measurable peak memory.
+_BLOCK_TRIALS = 64
 
 
 class SingularError(np.linalg.LinAlgError):
@@ -236,6 +243,25 @@ def u_related(p: np.ndarray, q: np.ndarray, tol: float) -> bool:
     return bool(np.max(np.abs(q - u_partner(p))) <= tol)
 
 
+def _type1_deviations(values: np.ndarray) -> tuple:
+    """Scale and relative Type-I deviations of each matrix of a ``(..., 2n, 2n)`` stack.
+
+    Returns ``(scale, diag_dev, d_dev)``: the largest entry modulus of each
+    matrix; ``diag_dev[..., j]``, how far diagonal block ``j`` is from a
+    scalar matrix; and ``d_dev[..., j, k]``, how far block ``(k, j)`` is from
+    the d-mirror of block ``(j, k)``.  Deviations are relative to the scale
+    (to 1 for a zero matrix); ``d_dev`` on its diagonal is not a pair.
+    """
+    n = values.shape[-1] // 2
+    blocks = values.reshape(values.shape[:-2] + (n, 2, n, 2)).swapaxes(-3, -2)
+    scale = np.abs(values).max(axis=(-2, -1))
+    denom = np.where(scale > 0, scale, 1.0)[..., None]
+    diag_dev = _type_t_deviation(blocks[..., np.arange(n), np.arange(n), :, :]) / denom
+    transposed = blocks.swapaxes(-4, -3)  # [j, k] -> block (k, j)
+    d_dev = np.abs(transposed - d_partner(blocks)).max(axis=(-2, -1)) / denom[..., None]
+    return scale, diag_dev, d_dev
+
+
 def classify(m, tol: float) -> StructureReport:
     """Classify a block matrix as TypeII, TypeI, TypeT-diagonal-only or None.
 
@@ -249,18 +275,15 @@ def classify(m, tol: float) -> StructureReport:
         raise ValueError(f"tol must be nonnegative, got {tol}")
     values = _as_matrix(m)
     bm = m if isinstance(m, BlockMatrix) else BlockMatrix(values)
+    if not np.all(np.isfinite(values)):
+        raise DecompositionError("matrix entries must be finite")
     blocks = bm.blocks
     n = bm.n
 
-    scale = float(np.max(np.abs(values)))
+    scale, diag_dev, d_dev = _type1_deviations(values)
+    scale = float(scale)
     denom = scale if scale > 0 else 1.0
-
-    diag = blocks[np.arange(n), np.arange(n)]
-    diag_dev = _type_t_deviation(diag) / denom
-
-    transposed = blocks.swapaxes(0, 1)  # [j, k] -> block (k, j)
-    d_dev = np.abs(transposed - d_partner(blocks)).max(axis=(2, 3)) / denom
-    u_dev = np.abs(transposed - u_partner(blocks)).max(axis=(2, 3)) / denom
+    u_dev = np.abs(blocks.swapaxes(0, 1) - u_partner(blocks)).max(axis=(2, 3)) / denom
     off = ~np.eye(n, dtype=bool)
 
     diag_res = float(diag_dev.max())
@@ -307,6 +330,28 @@ def classify(m, tol: float) -> StructureReport:
     )
 
 
+def _type2_values(t: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
+    """Type-II matrices ``(..., 2n, 2n)`` from ``t (..., n)`` and ``coeffs (..., n, n, 4)``.
+
+    The stacked form of :func:`make_type2`, which documents the layout.
+    """
+    n = t.shape[-1]
+    j, k = np.triu_indices(n, 1)
+    a, b, c, d = np.moveaxis(coeffs[..., j, k, :], -1, 0)
+    upper = np.empty(a.shape + (2, 2), dtype=complex)
+    upper[..., 0, 0] = a + 1j * c
+    upper[..., 0, 1] = b + 1j * d
+    upper[..., 1, 0] = -b.conj() - 1j * d.conj()
+    upper[..., 1, 1] = a.conj() + 1j * c.conj()
+    blocks = np.zeros(t.shape + (n, 2, 2), dtype=complex)
+    diag = np.arange(n)
+    blocks[..., diag, diag, 0, 0] = t
+    blocks[..., diag, diag, 1, 1] = t
+    blocks[..., j, k, :, :] = upper
+    blocks[..., k, j, :, :] = u_partner(upper)
+    return blocks.swapaxes(-3, -2).reshape(t.shape[:-1] + (2 * n, 2 * n))
+
+
 def make_type2(n: int, t: np.ndarray, coeffs: np.ndarray) -> BlockMatrix:
     """Build a Type-II matrix from diagonal scalars and off-block coefficients.
 
@@ -322,21 +367,22 @@ def make_type2(n: int, t: np.ndarray, coeffs: np.ndarray) -> BlockMatrix:
 
         and block ``(k, j)`` is its u-mirror.  Only the strict upper
         triangle of ``coeffs`` is read.
+
+    Raises
+    ------
+    ValueError
+        If ``t`` or ``coeffs`` does not have the shape above.
+    DecompositionError
+        If ``t`` or ``coeffs`` has a non-finite entry.
     """
     t = np.asarray(t, dtype=complex)
-    j, k = np.triu_indices(n, 1)
-    a, b, c, d = np.moveaxis(np.asarray(coeffs, dtype=complex)[j, k], -1, 0)
-    upper = np.empty((j.size, 2, 2), dtype=complex)
-    upper[:, 0, 0] = a + 1j * c
-    upper[:, 0, 1] = b + 1j * d
-    upper[:, 1, 0] = -b.conj() - 1j * d.conj()
-    upper[:, 1, 1] = a.conj() + 1j * c.conj()
-    blocks = np.zeros((n, n, 2, 2), dtype=complex)
-    blocks[np.arange(n), np.arange(n), 0, 0] = t
-    blocks[np.arange(n), np.arange(n), 1, 1] = t
-    blocks[j, k] = upper
-    blocks[k, j] = u_partner(upper)
-    return BlockMatrix.from_blocks(blocks)
+    coeffs = np.asarray(coeffs, dtype=complex)
+    if t.shape != (n,) or coeffs.shape != (n, n, 4):
+        raise ValueError(f"expected t of shape ({n},) and coeffs of shape "
+                         f"({n}, {n}, 4), got {t.shape} and {coeffs.shape}")
+    if not (np.all(np.isfinite(t)) and np.all(np.isfinite(coeffs))):
+        raise DecompositionError("t and coeffs must be finite")
+    return BlockMatrix(_type2_values(t, coeffs))
 
 
 def schur_block_inverse(m, split: int) -> BlockMatrix:
@@ -350,11 +396,15 @@ def schur_block_inverse(m, split: int) -> BlockMatrix:
 
     Raises
     ------
+    ValueError
+        If ``m`` has a non-finite entry.
     SingularError
         If ``S11`` or the Schur complement is numerically singular (smallest
         singular value below ``1e-12 * ||m||``).
     """
     A = _as_matrix(m)
+    if not np.all(np.isfinite(A)):
+        raise ValueError("matrix entries must be finite")
     n2 = A.shape[0]
     if not 1 <= split < n2 // 2:
         raise ValueError(f"split must satisfy 1 <= split < n = {n2 // 2}")
@@ -402,9 +452,21 @@ class InversionCheckReport:
                 "worst_witness": list(self.worst_witness) if self.worst_witness else None}
 
 
-def _well_conditioned(A: np.ndarray) -> bool:
-    sv = np.linalg.svd(A, compute_uv=False)
-    return bool(sv[-1] > 0 and sv[0] / sv[-1] < _COND_LIMIT)
+def _well_conditioned(stack: np.ndarray) -> np.ndarray:
+    """Which matrices of a ``(..., m, m)`` stack have condition number below ``_COND_LIMIT``."""
+    sv = np.linalg.svd(stack, compute_uv=False)
+    largest, smallest = sv[..., 0], sv[..., -1]
+    # A zero smallest singular value (the t_1 = 0 variant at n = 1 is the
+    # zero matrix) is singular; skip the division rather than form 0/0.
+    cond = np.divide(largest, smallest, out=np.full_like(largest, np.inf),
+                     where=smallest > 0)
+    return cond < _COND_LIMIT
+
+
+def _draw_type2_parameters(rng: np.random.Generator, n: int) -> tuple:
+    t = rng.standard_normal(n) + 1j * (rng.standard_normal(n) + 1.0)
+    coeffs = rng.standard_normal((n, n, 4)) + 1j * rng.standard_normal((n, n, 4))
+    return t, coeffs
 
 
 def verify_type2_inverse(n: int, trials: int, seed: int, tol: float = 1e-8) -> InversionCheckReport:
@@ -419,44 +481,66 @@ def verify_type2_inverse(n: int, trials: int, seed: int, tol: float = 1e-8) -> I
     invertible.
 
     Draws that are numerically too ill-conditioned for the tolerance
-    (condition number above 1e7) are resampled; the count is reported.
-    Trials use deterministic sub-seeds derived from ``(seed, trial)``, so
-    results do not depend on execution order.
+    (condition number above 1e7) are redrawn from the same trial's stream;
+    the count is reported.  Trials run in blocks of a fixed size, each block
+    as stacked arrays (one batched SVD per condition test, one batched
+    inverse per variant).  Every trial draws from its own stream, seeded by
+    ``(seed, trial)``, so the report depends neither on the block size nor on
+    the order in which trials run.  ``worst_witness`` is the witness that
+    :func:`classify` reports for the inverse with the largest Type-I
+    residual (the first one, in trial order, on a tie).
+
+    Raises
+    ------
+    ValueError
+        If ``n`` or ``trials`` is not an integer >= 1, ``seed`` is not an
+        integer >= 0, or ``tol`` is negative or NaN.
     """
-    if n < 1 or trials < 1:
-        raise ValueError("n and trials must be at least 1")
+    for name, value, low in (("n", n, 1), ("trials", trials, 1), ("seed", seed, 0)):
+        if not (_is_int(value) and value >= low):
+            raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
     if not tol >= 0:
         raise ValueError(f"tol must be nonnegative, got {tol}")
     passes = 0
     resamples = 0
     max_residual = 0.0
-    worst_witness = None
+    worst_inverse = None
+    off = ~np.eye(n, dtype=bool)
 
-    for trial in range(trials):
-        rng = np.random.default_rng(np.random.SeedSequence((seed, trial)))
-        while True:
-            t = rng.standard_normal(n) + 1j * (rng.standard_normal(n) + 1.0)
-            coeffs = rng.standard_normal((n, n, 4)) + 1j * rng.standard_normal((n, n, 4))
-            M = make_type2(n, t, coeffs)
-            if _well_conditioned(M.values):
-                break
-            resamples += 1
+    for start in range(0, trials, _BLOCK_TRIALS):
+        rngs = [np.random.default_rng(np.random.SeedSequence((seed, trial)))
+                for trial in range(start, min(start + _BLOCK_TRIALS, trials))]
+        size = len(rngs)
+        values = np.empty((size, 2 * n, 2 * n), dtype=complex)
+        pending = np.arange(size)
+        while pending.size:
+            t, coeffs = zip(*(_draw_type2_parameters(rngs[i], n) for i in pending))
+            values[pending] = _type2_values(np.array(t), np.array(coeffs))
+            rejected = ~_well_conditioned(values[pending])
+            resamples += int(rejected.sum())
+            pending = pending[rejected]
 
-        ok = True
-        variants = [M.values]
-        zeroed = M.values.copy()
-        zeroed[0, 0] = zeroed[1, 1] = 0.0  # t_1 = 0
-        if _well_conditioned(zeroed):
-            variants.append(zeroed)
-        for A in variants:
-            report = classify(np.linalg.inv(A), tol)
-            res = report.residuals["TypeI"]
-            if res > max_residual:
-                max_residual = res
-                worst_witness = report.witness
-            ok = ok and report.passes("TypeI")
-        passes += int(ok)
+        zeroed = values.copy()
+        zeroed[:, 0, 0] = zeroed[:, 1, 1] = 0.0  # t_1 = 0
+        has_zeroed = _well_conditioned(zeroed)
+        # inverses[i, v]: variant v (0 the draw, 1 its t_1 = 0 copy) of trial i;
+        # an ill-conditioned t_1 = 0 copy is left at zero and not checked.
+        inverses = np.zeros((size, 2, 2 * n, 2 * n), dtype=complex)
+        inverses[:, 0] = np.linalg.inv(values)
+        inverses[has_zeroed, 1] = np.linalg.inv(zeroed[has_zeroed])
 
+        _, diag_dev, d_dev = _type1_deviations(inverses)
+        residuals = np.maximum(diag_dev.max(axis=-1),
+                               d_dev[..., off].max(axis=-1, initial=0.0))
+        residuals[~has_zeroed, 1] = -1.0  # unchecked: passes, is never the worst
+        passes += int(np.all(residuals <= tol, axis=1).sum())
+        # First occurrence in (trial, variant) order, as a running strict max.
+        worst = int(residuals.argmax())
+        if residuals.flat[worst] > max_residual:
+            max_residual = float(residuals.flat[worst])
+            worst_inverse = inverses.reshape(-1, 2 * n, 2 * n)[worst]
+
+    worst_witness = None if worst_inverse is None else classify(worst_inverse, tol).witness
     return InversionCheckReport(
         n=n,
         trials=trials,

@@ -2,7 +2,10 @@
 
 Nothing here shares code with the package's computational paths: eigenvalues
 come from Sylvester inertia bisection on LDL factorizations, integrals from
-adaptive quadrature, and truncated moments from explicit enumeration.
+adaptive quadrature, and truncated moments from explicit enumeration.  The
+one exception is ``type2_inverse_by_loop``, the reference for how
+``verify_type2_inverse`` batches its trials: it reuses ``make_type2`` and
+``classify`` one trial at a time, so the two must agree to the bit.
 """
 
 import itertools
@@ -10,6 +13,8 @@ import itertools
 import numpy as np
 from scipy.integrate import quad
 from scipy.linalg import ldl
+
+from quatspectra import structure
 
 
 def count_eigs_below(a: np.ndarray, t: float) -> int:
@@ -129,3 +134,45 @@ def trace_minor_differences_by_minors(a: np.ndarray, z: complex) -> np.ndarray:
         keep[2 * k:2 * k + 2] = False
         diffs[k] = abs(tr_full - trace_of_resolvent(a[np.ix_(keep, keep)]))
     return diffs
+
+
+def type2_inverse_by_loop(n: int, trials: int, seed: int,
+                          tol: float = 1e-8) -> structure.InversionCheckReport:
+    """``verify_type2_inverse`` one trial at a time, classifying every inverse.
+
+    Each trial redraws from its own ``(seed, trial)`` stream until the draw's
+    condition number is below ``structure._COND_LIMIT`` (read at call time),
+    then checks the draw and, when it is well conditioned too, its
+    ``t_1 = 0`` copy.  The witness is updated on a strictly larger residual.
+    """
+    def well_conditioned(a):
+        sv = np.linalg.svd(a, compute_uv=False)
+        return bool(sv[-1] > 0 and sv[0] / sv[-1] < structure._COND_LIMIT)
+
+    passes = resamples = 0
+    max_residual = 0.0
+    worst_witness = None
+    for trial in range(trials):
+        rng = np.random.default_rng(np.random.SeedSequence((seed, trial)))
+        while True:
+            t = rng.standard_normal(n) + 1j * (rng.standard_normal(n) + 1.0)
+            coeffs = rng.standard_normal((n, n, 4)) + 1j * rng.standard_normal((n, n, 4))
+            m = structure.make_type2(n, t, coeffs).values
+            if well_conditioned(m):
+                break
+            resamples += 1
+        zeroed = m.copy()
+        zeroed[0, 0] = zeroed[1, 1] = 0.0  # t_1 = 0
+        ok = True
+        for a in [m] + ([zeroed] if well_conditioned(zeroed) else []):
+            report = structure.classify(np.linalg.inv(a), tol)
+            res = report.residuals["TypeI"]
+            if res > max_residual:
+                max_residual = res
+                worst_witness = report.witness
+            ok = ok and report.passes("TypeI")
+        passes += int(ok)
+    return structure.InversionCheckReport(n=n, trials=trials, passes=passes,
+                                          resamples=resamples,
+                                          max_residual=max_residual,
+                                          worst_witness=worst_witness)

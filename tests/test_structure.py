@@ -1,8 +1,12 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
+from quatspectra import structure
 from quatspectra.ensemble import sample_gse
 from quatspectra.spectra import embed
 from quatspectra.structure import (BlockMatrix, DecompositionError,
@@ -11,7 +15,7 @@ from quatspectra.structure import (BlockMatrix, DecompositionError,
                                    quaternion_parts, schur_block_inverse,
                                    u_partner, u_related, verify_type2_inverse)
 
-from oracles import type2_by_loop
+from oracles import type2_by_loop, type2_inverse_by_loop
 
 complex_entry = st.builds(complex,
                           st.floats(-10, 10, allow_nan=False),
@@ -353,10 +357,126 @@ def test_t1_zero_continuity_case():
 
 
 def test_inversion_check_rejects_bad_args():
-    with pytest.raises(ValueError):
-        verify_type2_inverse(0, trials=1, seed=0)
-    with pytest.raises(ValueError):
-        verify_type2_inverse(1, trials=0, seed=0)
+    for kwargs in ({"n": 0}, {"n": 2.5}, {"n": True}, {"n": "2"},
+                   {"trials": 0}, {"trials": 2.5}, {"trials": False},
+                   {"seed": -1}, {"seed": 1.5}, {"seed": True}, {"seed": None}):
+        args = {"n": 1, "trials": 1, "seed": 0, **kwargs}
+        (name,) = kwargs
+        with pytest.raises(ValueError, match=f"^{name} must be an integer"):
+            verify_type2_inverse(**args)
     for tol in (-1.0, np.nan):
         with pytest.raises(ValueError, match="tol"):
             verify_type2_inverse(1, trials=1, seed=0, tol=tol)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("n", range(1, 9))
+def test_inversion_check_matches_loop_oracle(n):
+    # Blocks of 64 trials: one partial block, one exactly full, one spilling
+    # over by a trial, and several.  At n = 1 the t_1 = 0 copy is the zero
+    # matrix, which the condition test must reject without dividing 0/0.
+    for seed in (3, 40 + n):
+        for tol in (1e-8, 0.0):
+            for trials in (1, 63, 64, 65, 250):
+                assert verify_type2_inverse(n, trials, seed, tol).to_json() == \
+                    type2_inverse_by_loop(n, trials, seed, tol).to_json()
+
+
+@pytest.mark.parametrize("n, redraws", [(2, 1), (3, 4), (4, 9)])
+def test_inversion_check_redraws_like_the_loop(monkeypatch, n, redraws):
+    # A low condition limit makes some draws too ill-conditioned, so trials
+    # redraw from their own streams, some more than once.
+    monkeypatch.setattr(structure, "_COND_LIMIT", 30)
+    report = verify_type2_inverse(n, trials=130, seed=5 + n)
+    assert report.resamples == redraws
+    assert report.to_json() == type2_inverse_by_loop(n, 130, 5 + n).to_json()
+
+
+@pytest.mark.parametrize("block", [1, 7])
+def test_inversion_check_is_independent_of_block_size(monkeypatch, block):
+    monkeypatch.setattr(structure, "_COND_LIMIT", 30)  # so that some trials redraw
+    cases = [(4, 30, 9, 1e-8), (3, 20, 11, 1e-8), (1, 9, 2, 0.0)]
+    want = [verify_type2_inverse(*case).to_json() for case in cases]
+    assert sum(report["resamples"] for report in want) > 0
+    monkeypatch.setattr(structure, "_BLOCK_TRIALS", block)
+    assert [verify_type2_inverse(*case).to_json() for case in cases] == want
+
+
+def test_inversion_check_classifies_one_inverse(monkeypatch):
+    calls = []
+
+    def counting_classify(m, tol):
+        calls.append(1)
+        return classify(m, tol)
+
+    monkeypatch.setattr(structure, "classify", counting_classify)
+    report = verify_type2_inverse(5, trials=150, seed=3)
+    assert report.worst_witness is not None
+    assert len(calls) <= 1
+
+
+# ---------------------------------------------------------------------------
+# non-finite input
+# ---------------------------------------------------------------------------
+
+def _raises_value_error(fn, *args):
+    """``fn(*args)`` raises ``ValueError`` (or a subclass), not ``LinAlgError``."""
+    with pytest.raises(ValueError) as info:
+        fn(*args)
+    assert not isinstance(info.value, np.linalg.LinAlgError), info.value
+
+
+def test_schur_inverse_rejects_non_finite():
+    m = random_type2(3, seed=4).values.copy()
+    for bad in (np.nan, np.inf):
+        m[1, 4] = bad
+        with pytest.raises(ValueError, match="finite"):
+            schur_block_inverse(m, split=1)
+
+
+def test_make_type2_rejects_non_finite_and_misshapen_input():
+    n = 3
+    t = np.ones(n, dtype=complex)
+    coeffs = np.zeros((n, n, 4), dtype=complex)
+    for bad in (np.nan, np.inf):
+        t_bad = t.copy()
+        t_bad[1] = bad
+        with pytest.raises(DecompositionError):
+            make_type2(n, t_bad, coeffs)
+    for t_shape, c_shape in (((n + 1,), (n, n, 4)), ((n,), (n, n, 2)),
+                             ((n,), (n - 1, n - 1, 4))):
+        with pytest.raises(ValueError, match=re.escape(f"{t_shape} and {c_shape}")):
+            make_type2(n, np.ones(t_shape), np.zeros(c_shape))
+
+
+def _with_non_finite(values, mask, fill):
+    out = np.array(values, dtype=complex)
+    out[mask] = fill
+    return out
+
+
+def _non_finite_case(shape):
+    """A finite complex array of ``shape`` with NaN or inf at random positions."""
+    finite = st.floats(-10, 10, allow_nan=False)
+    return st.builds(
+        _with_non_finite,
+        hnp.arrays(np.float64, shape, elements=finite),
+        hnp.arrays(np.bool_, shape).filter(np.any),
+        st.sampled_from([np.nan, np.inf, -np.inf, complex(0, np.inf),
+                         complex(np.nan, 1.0)]))
+
+
+@given(st.data())
+@settings(max_examples=60, deadline=None)
+def test_structure_rejects_non_finite_input(data):
+    n = data.draw(st.integers(1, 4), label="n")
+    _raises_value_error(classify, data.draw(_non_finite_case((2 * n, 2 * n))), 1e-8)
+    stack = data.draw(_non_finite_case((n, 2, 2)))
+    _raises_value_error(quaternion_parts, stack)
+    _raises_value_error(u_partner, stack)
+    finite_t = np.ones(n, dtype=complex)
+    finite_coeffs = np.zeros((n, n, 4), dtype=complex)
+    _raises_value_error(make_type2, n, data.draw(_non_finite_case((n,))), finite_coeffs)
+    _raises_value_error(make_type2, n, finite_t, data.draw(_non_finite_case((n, n, 4))))
+    m = data.draw(_non_finite_case((2 * n + 2, 2 * n + 2)))
+    _raises_value_error(schur_block_inverse, m, data.draw(st.integers(1, n), label="split"))
