@@ -24,7 +24,6 @@ from dataclasses import asdict, dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.special import erfc
 
 from .quaternion import Quaternion
 
@@ -147,7 +146,7 @@ class GSECoefficients(Distribution):
     def diag_tail_second_moment(self, c):
         # standard normal: E[v^2 I(|v| >= c)] = 2 c phi(c) + erfc(c / sqrt 2)
         phi = math.exp(-c * c / 2.0) / math.sqrt(2.0 * math.pi)
-        return 2.0 * c * phi + float(erfc(c / math.sqrt(2.0)))
+        return 2.0 * c * phi + math.erfc(c / math.sqrt(2.0))
 
 
 class RademacherCoefficients(Distribution):

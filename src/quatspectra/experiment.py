@@ -23,12 +23,14 @@ from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 from typing import Optional
 
+import numpy as np
+
 from . import spectra
 from .ensemble import (EnsembleSpec, SelfDualMatrix, _is_int, _is_real,
                        run_pipeline, sample_general)
-from .spectra import (ESD, SpectralSample, empirical_stieltjes, histogram_csv,
-                      kolmogorov_distance, levy_distance,
-                      resolvent_structure_check, semicircle_cdf,
+from .spectra import (ESD, NotHermitianError, PairingError, SpectralSample,
+                      empirical_stieltjes, histogram_csv, kolmogorov_distance,
+                      levy_distance, resolvent_structure_check, semicircle_cdf,
                       semicircle_stieltjes, trace_minor_check)
 from .structure import verify_type2_inverse
 
@@ -250,16 +252,23 @@ def _run_trial(config: ExperimentConfig, hist_dir, draw) -> ConvergenceRow:
         w, trace = run_pipeline(spec, w, keep_matrices=False)
         summary = trace.to_json()
 
-    sample = SpectralSample.from_matrix(w)
-    esd = ESD(sample.eigenvalues_dedup)
-    kolmogorov = kolmogorov_distance(esd)
-    levy = levy_distance(esd, semicircle_cdf)
-    serrs = {}
-    for z in config.z_grid:
-        point = empirical_stieltjes(sample, z)
-        serrs[stieltjes_label(z)] = abs(point.value - semicircle_stieltjes(z))
-
     failures = []
+    sample = None
+    kolmogorov = levy = math.nan
+    serrs = dict.fromkeys(map(stieltjes_label, config.z_grid), math.nan)
+    try:
+        sample = SpectralSample.from_matrix(w)
+    except (NotHermitianError, PairingError, np.linalg.LinAlgError) as exc:
+        # one bad draw must not abort the sweep: its row keeps NaN distances
+        failures.append(f"eigensolve error: {exc}")
+    else:
+        esd = ESD(sample.eigenvalues_dedup)
+        kolmogorov = kolmogorov_distance(esd)
+        levy = levy_distance(esd, semicircle_cdf)
+        for z in config.z_grid:
+            point = empirical_stieltjes(sample, z)
+            serrs[stieltjes_label(z)] = abs(point.value - semicircle_stieltjes(z))
+
     try:
         for name, z, passed, _, failure in _resolvent_checks(w, config, config.checks):
             if not passed:
@@ -267,7 +276,7 @@ def _run_trial(config: ExperimentConfig, hist_dir, draw) -> ConvergenceRow:
     except Exception as exc:  # never abort the sweep
         failures.append(f"check error: {exc}")
 
-    if hist_dir is not None:
+    if hist_dir is not None and sample is not None:
         histogram_csv(sample.eigenvalues_dedup,
                       Path(hist_dir) / f"hist_n{n}_t{trial}.csv")
 

@@ -13,8 +13,10 @@ from __future__ import annotations
 
 import cmath
 import csv
+import ctypes
 import math
 from dataclasses import asdict, dataclass
+from pathlib import Path
 from typing import Optional
 
 import numpy as np
@@ -101,10 +103,56 @@ def _square_matrix(m) -> np.ndarray:
     return A
 
 
+def _load_two_stage():
+    """LAPACKE ``zheevd_2stage`` of the OpenBLAS bundled with numpy, or None.
+
+    The wheel's OpenBLAS exports it with 64-bit ``lapack_int`` under the
+    ``scipy_`` prefix; another numpy build has no such library and falls back
+    to ``eigvalsh``.
+    """
+    libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
+    for path in sorted(libs.glob("libscipy_openblas64_*.so")):
+        try:
+            fn = ctypes.CDLL(str(path)).scipy_LAPACKE_zheevd_2stage64_
+        except (OSError, AttributeError):
+            continue
+        fn.restype = ctypes.c_int64
+        fn.argtypes = [ctypes.c_int, ctypes.c_char, ctypes.c_char, ctypes.c_int64,
+                       ctypes.c_void_p, ctypes.c_int64, ctypes.c_void_p]
+        return fn
+    return None
+
+
+_TWO_STAGE = _load_two_stage()
+# Order from which the two-stage driver is used.  On 2 cores (OpenBLAS
+# 0.3.31) it tied one-stage ``zheevd`` near order 400 and won from 448 up,
+# by 1.5x at 1600; see CHANGES.md for the measurement.
+_TWO_STAGE_MIN = 512
+_LAPACK_COL_MAJOR = 102
+
+
+def _two_stage_eigenvalues(A: np.ndarray) -> np.ndarray:
+    """Eigenvalues of finite Hermitian ``A`` by ``zheevd_2stage`` (JOBZ=N, UPLO=L).
+
+    The C-ordered copy read as column-major is ``conj(A)``, which has the
+    same eigenvalues; LAPACK overwrites the copy.
+    """
+    n = A.shape[0]
+    a = np.array(A, dtype=np.complex128, order="C")
+    w = np.empty(n)
+    info = _TWO_STAGE(_LAPACK_COL_MAJOR, b"N", b"L", n, a.ctypes.data, n, w.ctypes.data)
+    if info:
+        raise np.linalg.LinAlgError(f"zheevd_2stage failed with info={info}")
+    return w
+
+
 def hermitian_eigenvalues(m) -> np.ndarray:
-    """All eigenvalues of a Hermitian matrix, ascending (LAPACK ``eigvalsh``).
+    """All eigenvalues of a Hermitian matrix, ascending.
 
     The input must be finite and Hermitian within ``1e-10 * max|entry|``.
+    From order ``_TWO_STAGE_MIN`` up they come from LAPACK's two-stage
+    driver ``zheevd_2stage``, where numpy's OpenBLAS provides it; otherwise
+    from ``np.linalg.eigvalsh`` (``zheevd``).
 
     Raises
     ------
@@ -120,6 +168,8 @@ def hermitian_eigenvalues(m) -> np.ndarray:
     if not residual <= 1e-10 * max(scale, 1e-300):
         raise NotHermitianError(
             f"Hermitian residual {residual:.3e} exceeds 1e-10 * {scale:.3e}")
+    if _TWO_STAGE is not None and A.shape[0] >= _TWO_STAGE_MIN:
+        return _two_stage_eigenvalues(A)
     return np.linalg.eigvalsh(A)
 
 

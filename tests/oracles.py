@@ -94,6 +94,14 @@ def gse_tail_second_moment_by_quadrature(c: float) -> float:
     return val
 
 
+def normal_tail_second_moment_by_quadrature(c: float) -> float:
+    """E[v^2 I(|v| >= c)] for a standard normal v, by quadrature."""
+    def integrand(v):
+        return v * v * np.exp(-v * v / 2.0) / np.sqrt(2.0 * np.pi)
+    val, _ = quad(integrand, c, np.inf, epsabs=0.0, epsrel=1e-13, limit=200)
+    return 2.0 * val
+
+
 def type2_by_loop(n: int, t: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
     """Dense Type-II matrix from ``make_type2``'s parameters, one block pair at a time.
 

@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,6 +20,7 @@ from quatspectra.experiment import check_pipeline_bounds
 from quatspectra.spectra import ESD, embed, hermitian_eigenvalues, levy_distance
 
 from oracles import (gse_tail_second_moment_by_quadrature,
+                     normal_tail_second_moment_by_quadrature,
                      two_point_truncated_mean)
 
 
@@ -215,12 +220,26 @@ def test_lindeberg_gse_matches_quadrature_oracle():
     spec = gse_spec(100, 0)
     got = lindeberg_statistic(spec, eta=0.5)
     c = 0.5 * math.sqrt(100)
-    oracle = gse_tail_second_moment_by_quadrature(c)
     assert got <= 1e-6
     off_weight = (100 * 100 - 100) / (100 * 100)
-    assert got == pytest.approx(off_weight * oracle
-                                + 0.01 * spec.distribution.diag_tail_second_moment(c),
+    assert got == pytest.approx(off_weight * gse_tail_second_moment_by_quadrature(c)
+                                + 0.01 * normal_tail_second_moment_by_quadrature(c),
                                 rel=1e-6, abs=1e-25)
+
+
+@pytest.mark.parametrize("c", np.linspace(0.0, 8.0, 17))
+def test_gse_diag_tail_matches_quadrature_oracle(c):
+    got = GSECoefficients().diag_tail_second_moment(c)
+    assert got == pytest.approx(normal_tail_second_moment_by_quadrature(c), rel=1e-10)
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    # Importing scipy would take most of a CLI call's start-up time.
+    src = str(Path(ensemble.__file__).resolve().parent.parent)
+    code = "import sys, quatspectra.cli; print('scipy' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": src})
+    assert out.stdout.strip() == "False"
 
 
 def test_lindeberg_vanishing_eta_sequence_decreases():

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from quatspectra import ensemble, experiment
+from quatspectra import ensemble, experiment, spectra
 from quatspectra.cli import main
 from quatspectra.ensemble import (EnsembleSpec, EtaSchedule, GSECoefficients,
                                   SpecError, UserCoefficients,
@@ -278,6 +278,33 @@ def test_run_parallel_matches_serial(tmp_path):
     serial = run(config, jobs=1)
     parallel = run(config, jobs=2)
     assert [r.to_json() for r in serial] == [r.to_json() for r in parallel]
+
+
+@pytest.mark.parametrize("error", [spectra.PairingError, spectra.NotHermitianError,
+                                   np.linalg.LinAlgError])
+def test_run_records_a_failed_eigensolve_and_keeps_going(tmp_path, monkeypatch, error):
+    config = small_config(tmp_path, checks=("resolvent_structure",))
+    clean = run(config)
+    spec = EnsembleSpec(n=8, distribution=GSECoefficients(), seed=trial_seed(5, 8, 1))
+    bad = spectra.embed(sample_general(spec)).values
+    solve = spectra.hermitian_eigenvalues
+
+    def failing(m):
+        if np.array_equal(m.values, bad):
+            raise error("injected failure")
+        return solve(m)
+
+    monkeypatch.setattr(spectra, "hermitian_eigenvalues", failing)
+    rows = run(config)
+    assert [(r.n, r.trial) for r in rows] == [(4, 0), (4, 1), (8, 0), (8, 1)]
+    *good, failed = rows
+    assert [r.to_json() for r in good] == [r.to_json() for r in clean[:3]]
+    assert math.isnan(failed.kolmogorov) and math.isnan(failed.levy)
+    assert all(math.isnan(v) for v in failed.stieltjes_errors.values())
+    assert failed.seed == clean[3].seed
+    assert failed.check_failures == ["eigensolve error: injected failure"]
+    emit(rows, "csv", tmp_path / "out.csv")
+    assert (tmp_path / "out.csv").read_text().splitlines()[-1].endswith("nan,nan,nan,nan")
 
 
 def test_run_accepts_a_user_law(tmp_path):

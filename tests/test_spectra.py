@@ -1,7 +1,10 @@
 import math
+import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from quatspectra import spectra
@@ -21,7 +24,8 @@ from quatspectra.experiment import (ConfigError, ExperimentConfig,
                                     default_verify_config)
 from quatspectra.structure import classify
 
-from oracles import (eigenvalues_by_bisection, semicircle_cdf_by_quadrature,
+from oracles import (count_eigs_below, eigenvalues_by_bisection,
+                     semicircle_cdf_by_quadrature,
                      semicircle_stieltjes_by_quadrature,
                      trace_minor_differences_by_minors)
 
@@ -98,6 +102,87 @@ def test_eigenvalues_reject_non_finite(bad):
     # cannot catch it.
     with pytest.raises(NotHermitianError):
         hermitian_eigenvalues(np.diag([bad, 1.0, 1.0, 1.0]))
+
+
+def _random_hermitian(n, seed):
+    rng = np.random.default_rng(seed)
+    A = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    return (A + A.conj().T) / 2
+
+
+TWO_STAGE_MIN = spectra._TWO_STAGE_MIN
+needs_two_stage = pytest.mark.skipif(spectra._TWO_STAGE is None,
+                                     reason="numpy's LAPACK has no zheevd_2stage")
+
+
+@pytest.fixture(scope="module", params=["gse_min", "gse_1600", "hermitian_odd"])
+def large_hermitian(request):
+    """A matrix on the two-stage side of the crossover, with its ``eigvalsh``."""
+    if request.param == "gse_min":
+        A = embed(sample_gse(TWO_STAGE_MIN // 2, seed=11)).values
+    elif request.param == "gse_1600":
+        A = embed(sample_gse(800, seed=12)).values
+    else:
+        A = _random_hermitian(TWO_STAGE_MIN + 1, seed=13)
+    return A, np.linalg.eigvalsh(A)
+
+
+def _counting(monkeypatch, name):
+    calls = []
+    fn = getattr(spectra, name)
+
+    def counted(*args):
+        calls.append(args)
+        return fn(*args)
+
+    monkeypatch.setattr(spectra, name, counted)
+    return calls
+
+
+@needs_two_stage
+def test_two_stage_path_matches_eigvalsh_and_inertia(large_hermitian, monkeypatch):
+    A, reference = large_hermitian
+    calls = _counting(monkeypatch, "_TWO_STAGE")
+    got = hermitian_eigenvalues(A)
+    assert len(calls) == 1
+    assert np.max(np.abs(got - reference)) <= 1e-12 * max(1.0, np.abs(reference).max())
+    # Midpoints after every 2nd eigenvalue avoid the pairs of an embedding.
+    N = A.shape[0]
+    for k in (2 * (j * N // 12) + 1 for j in range(1, 6)):
+        assert count_eigs_below(A, 0.5 * (got[k] + got[k + 1])) == k + 1
+    assert np.array_equal(hermitian_eigenvalues(A), got)
+
+
+def test_eigvalsh_path_without_two_stage_driver(large_hermitian, monkeypatch):
+    A, reference = large_hermitian
+    monkeypatch.setattr(spectra, "_TWO_STAGE", None)
+    assert np.array_equal(hermitian_eigenvalues(A), reference)
+
+
+def test_eigvalsh_path_below_crossover(monkeypatch):
+    A = _random_hermitian(TWO_STAGE_MIN - 1, seed=14)
+    calls = _counting(monkeypatch, "_TWO_STAGE")
+    assert np.array_equal(hermitian_eigenvalues(A), np.linalg.eigvalsh(A))
+    assert calls == []
+
+
+def _no_lapack(*args):
+    raise AssertionError("LAPACK reached")
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_two_stage_side_rejects_non_finite_before_lapack(bad, monkeypatch):
+    monkeypatch.setattr(spectra, "_TWO_STAGE", _no_lapack)
+    A = _random_hermitian(TWO_STAGE_MIN, seed=15)
+    A[3, 7] = bad
+    with pytest.raises(NotHermitianError, match="finite"):
+        hermitian_eigenvalues(A)
+
+
+def test_two_stage_failure_raises_linalg_error(monkeypatch):
+    monkeypatch.setattr(spectra, "_TWO_STAGE", lambda *args: 1)
+    with pytest.raises(np.linalg.LinAlgError, match="info=1"):
+        hermitian_eigenvalues(_random_hermitian(TWO_STAGE_MIN, seed=16))
 
 
 def test_trace_identity_zero_diagonal():
@@ -521,3 +606,45 @@ def test_histogram_csv_rejects_non_finite(tmp_path, bad):
     with pytest.raises(ValueError):
         histogram_csv([bad, 1.0, 0.5], path)
     assert not path.exists()
+
+
+# ---------------------------------------------------------------------------
+# non-finite input
+# ---------------------------------------------------------------------------
+
+def _raises_value_error(fn, *args):
+    """``fn(*args)`` raises ``ValueError`` (or a subclass), not ``LinAlgError``."""
+    with pytest.raises(ValueError) as info:
+        fn(*args)
+    assert not isinstance(info.value, np.linalg.LinAlgError), info.value
+
+
+_BIG_HERMITIAN = _random_hermitian(TWO_STAGE_MIN, seed=17)
+_NON_FINITE = st.sampled_from([math.nan, math.inf, -math.inf])
+
+
+def _spoiled(data, base, fills):
+    """A copy of ``base`` with values of ``fills`` at 1 to 5 random positions."""
+    out = np.array(base)
+    for _ in range(data.draw(st.integers(1, 5), label="count")):
+        index = tuple(data.draw(st.integers(0, d - 1)) for d in out.shape)
+        out[index] = data.draw(fills, label="fill")
+    return out
+
+
+@given(st.data())
+@settings(max_examples=60, deadline=None)
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+def test_spectra_rejects_non_finite_input(data):
+    n = data.draw(st.integers(1, 6), label="n")
+    complex_fills = st.one_of(_NON_FINITE, st.sampled_from([complex(0, math.inf),
+                                                             complex(math.nan, 1.0)]))
+    for base in (_random_hermitian(2 * n, seed=n), _BIG_HERMITIAN):
+        _raises_value_error(hermitian_eigenvalues, _spoiled(data, base, complex_fills))
+    _raises_value_error(resolvent, _spoiled(data, _random_hermitian(2 * n, seed=n),
+                                            complex_fills), 1j)
+    eigs = _spoiled(data, np.repeat(np.linspace(-2.0, 2.0, n), 2), _NON_FINITE)
+    _raises_value_error(dedup_pairs, eigs, 1e-8)
+    _raises_value_error(ESD, eigs)
+    _raises_value_error(empirical_stieltjes, eigs, 1j)
+    _raises_value_error(histogram_csv, eigs, os.devnull)
