@@ -443,8 +443,8 @@ class SelfDualMatrix:
 
     ``coeffs[j, k]`` holds the four (already scaled) coefficients of entry
     ``(j+1, k+1)``; ``scale`` records the ``1/sqrt(n)`` normalization that
-    was applied.  The mirror symmetry and the real diagonal are invariants,
-    checked by :meth:`check`.
+    was applied.  Coefficients must be finite; the mirror symmetry and the
+    real diagonal are invariants, checked by :meth:`check`.
     """
 
     coeffs: np.ndarray
@@ -455,6 +455,8 @@ class SelfDualMatrix:
         if self.coeffs.ndim != 3 or self.coeffs.shape[2] != 4 \
                 or self.coeffs.shape[0] != self.coeffs.shape[1]:
             raise ValueError(f"expected (n, n, 4) coefficients, got {self.coeffs.shape}")
+        if not np.isfinite(self.coeffs).all():
+            raise ValueError("matrix entries must be finite")
         self.coeffs.setflags(write=False)
 
     @property
@@ -477,20 +479,18 @@ class SelfDualMatrix:
         diag = self.coeffs[np.arange(self.n), np.arange(self.n)]
         if not np.all(np.abs(diag[:, 1:]) <= 0.0):
             raise ValueError("diagonal entries are not real quaternions")
-        if not np.all(np.isfinite(self.coeffs)):
-            raise ValueError("matrix has non-finite entries")
 
     def with_coeffs(self, coeffs: np.ndarray) -> "SelfDualMatrix":
         return SelfDualMatrix(coeffs, self.scale)
 
 
 def _assemble(n: int, off: np.ndarray, diag: np.ndarray) -> np.ndarray:
-    """Full (n, n, 4) coefficient array from upper-triangle and diagonal draws."""
+    """Full (n, n, 4) coefficient array from row-major upper-triangle and diagonal draws."""
     co = np.zeros((n, n, 4))
-    if n > 1:
-        iu = np.triu_indices(n, 1)
-        co[iu] = off
-        co[iu[1], iu[0]] = off * _CONJ_SIGNS
+    for j in range(n - 1):
+        row = off[j * (2 * n - j - 1) // 2:][:n - 1 - j]  # row j starts after j shorter rows
+        co[j, j + 1:] = row
+        np.multiply(row, _CONJ_SIGNS, out=co[j + 1:, j])
     co[np.arange(n), np.arange(n), 0] = diag
     return co
 
@@ -509,7 +509,7 @@ def sample_general(spec: EnsembleSpec) -> SelfDualMatrix:
     off = spec.distribution.sample_coeffs(rng, m) if m else np.zeros((0, 4))
     diag = spec.distribution.sample_diag(rng, n)
     scale = 1.0 / math.sqrt(n)
-    return SelfDualMatrix(_assemble(n, off, diag) * scale, scale)
+    return SelfDualMatrix(_assemble(n, off * scale, diag * scale), scale)
 
 
 def sample_gse(n: int, seed: int) -> SelfDualMatrix:
@@ -685,6 +685,8 @@ def centralize(w: SelfDualMatrix, truncated_mean: np.ndarray):
     The record carries its norm.  Self-duality is preserved by subtracting
     the conjugate below the diagonal.
     """
+    if not np.all(np.isfinite(truncated_mean)):
+        raise SpecError(f"truncated mean must be finite, got {truncated_mean}")
     mu = truncated_mean * w.scale
     coeffs = w.coeffs.copy()
     upper = np.triu_indices(w.n, 1)
@@ -713,6 +715,8 @@ def rescale(w: SelfDualMatrix, sigma_sq: float, seed: int):
     an offset stream of ``seed`` and noted in the record.  The diagonal is
     left untouched (it is zeroed by its own stage).
     """
+    if not math.isfinite(sigma_sq):
+        raise SpecError(f"sigma_sq must be finite, got {sigma_sq}")
     n = w.n
     coeffs = w.coeffs.copy()
     idx = np.arange(n)
@@ -757,6 +761,7 @@ def run_pipeline(spec: EnsembleSpec, w: Optional[SelfDualMatrix] = None,
     matrix so the Levy/rank inequalities can be verified against eigenvalue
     computations.
     """
+    spec.validate()
     if w is None:
         w = sample_general(spec)
     elif w.n != spec.n:

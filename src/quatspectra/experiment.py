@@ -28,10 +28,9 @@ import numpy as np
 from . import spectra
 from .ensemble import (EnsembleSpec, SelfDualMatrix, _is_int, _is_real,
                        run_pipeline, sample_general)
-from .spectra import (ESD, NotHermitianError, PairingError, SpectralSample,
-                      empirical_stieltjes, histogram_csv, kolmogorov_distance,
-                      levy_distance, resolvent_structure_check, semicircle_cdf,
-                      semicircle_stieltjes, trace_minor_check)
+from .spectra import (ESD, SpectralSample, empirical_stieltjes, histogram_csv,
+                      kolmogorov_distance, levy_distance, resolvent_structure_check,
+                      semicircle_cdf, semicircle_stieltjes, trace_minor_check)
 from .structure import verify_type2_inverse
 
 __all__ = [
@@ -72,12 +71,16 @@ def _z_grid_from_json(pairs) -> list:
 
 def trial_seed(seed: int, n: int, trial: int) -> int:
     """Stable per-trial seed: SHA-256 of ``"{seed}:{n}:{trial}"``, 8 bytes."""
+    if not all(map(_is_int, (seed, n, trial))):
+        raise ConfigError(f"seed, n and trial must be integers, got {(seed, n, trial)!r}")
     digest = hashlib.sha256(f"{seed}:{n}:{trial}".encode()).digest()
     return int.from_bytes(digest[:8], "little")
 
 
 def stieltjes_label(z: complex) -> str:
     """CSV column label for the transform error at ``z``."""
+    if not cmath.isfinite(z):
+        raise ConfigError(f"z must be finite, got {z!r}")
     return f"serr_re{z.real:g}_im{z.imag:g}"
 
 
@@ -246,21 +249,21 @@ def _run_trial(config: ExperimentConfig, hist_dir, draw) -> ConvergenceRow:
     n = spec.n
     t0 = time.perf_counter()
 
-    w = sample_general(spec)
-    summary = None
-    if config.pipeline:
-        w, trace = run_pipeline(spec, w, keep_matrices=False)
-        summary = trace.to_json()
-
     failures = []
-    sample = None
+    stage, w, summary, sample = "sample", None, None, None
     kolmogorov = levy = math.nan
     serrs = dict.fromkeys(map(stieltjes_label, config.z_grid), math.nan)
     try:
+        drawn = sample_general(spec)
+        if config.pipeline:
+            stage = "pipeline"
+            drawn, trace = run_pipeline(spec, drawn, keep_matrices=False)
+            summary = trace.to_json()
+        w, stage = drawn, "eigensolve"
         sample = SpectralSample.from_matrix(w)
-    except (NotHermitianError, PairingError, np.linalg.LinAlgError) as exc:
+    except (ValueError, np.linalg.LinAlgError) as exc:
         # one bad draw must not abort the sweep: its row keeps NaN distances
-        failures.append(f"eigensolve error: {exc}")
+        failures.append(f"{stage} error: {exc}")
     else:
         esd = ESD(sample.eigenvalues_dedup)
         kolmogorov = kolmogorov_distance(esd)
@@ -269,12 +272,13 @@ def _run_trial(config: ExperimentConfig, hist_dir, draw) -> ConvergenceRow:
             point = empirical_stieltjes(sample, z)
             serrs[stieltjes_label(z)] = abs(point.value - semicircle_stieltjes(z))
 
-    try:
-        for name, z, passed, _, failure in _resolvent_checks(w, config, config.checks):
-            if not passed:
-                failures.append(f"{name} z={z}: " + _SWEEP_FAILURE[name].format(**failure))
-    except Exception as exc:  # never abort the sweep
-        failures.append(f"check error: {exc}")
+    if w is not None:  # a draw that failed to sample or reduce has nothing to check
+        try:
+            for name, z, passed, _, failure in _resolvent_checks(w, config, config.checks):
+                if not passed:
+                    failures.append(f"{name} z={z}: " + _SWEEP_FAILURE[name].format(**failure))
+        except Exception as exc:  # never abort the sweep
+            failures.append(f"check error: {exc}")
 
     if hist_dir is not None and sample is not None:
         histogram_csv(sample.eigenvalues_dedup,

@@ -11,7 +11,7 @@ and this identification is a ring isomorphism:
 ``to_complex(x * y) == to_complex(x) @ to_complex(y)`` and
 ``det(to_complex(x)) == norm(x)**2``.
 
-Coefficients are stored as 64-bit floats.  Values are immutable and safe to
+Coefficients are stored as finite 64-bit floats.  Values are immutable and safe to
 share between workers.
 """
 
@@ -50,10 +50,11 @@ class Quaternion:
     d: float
 
     def __post_init__(self):
-        object.__setattr__(self, "a", float(self.a))
-        object.__setattr__(self, "b", float(self.b))
-        object.__setattr__(self, "c", float(self.c))
-        object.__setattr__(self, "d", float(self.d))
+        for name in "abcd":
+            value = float(getattr(self, name))
+            if not np.isfinite(value):
+                raise ValueError(f"quaternion coefficient {name} must be finite, got {value}")
+            object.__setattr__(self, name, value)
 
     def conjugate(self) -> "Quaternion":
         return Quaternion(self.a, -self.b, -self.c, -self.d)
@@ -147,11 +148,13 @@ def from_complex(m: np.ndarray, tol: float = 1e-9) -> Quaternion:
     Raises
     ------
     ShapeError
-        If the residual exceeds ``tol``.
+        If an entry is not finite or the residual exceeds ``tol``.
     """
     m = np.asarray(m, dtype=complex)
     if m.shape != (2, 2):
         raise ShapeError(f"expected a 2x2 matrix, got shape {m.shape}")
+    if not np.all(np.isfinite(m)):
+        raise ShapeError("matrix entries must be finite")
     residual = max(abs(m[0, 0] - m[1, 1].conjugate()),
                    abs(m[0, 1] + m[1, 0].conjugate()))
     if not residual <= tol:

@@ -5,10 +5,14 @@ come from Sylvester inertia bisection on LDL factorizations, integrals from
 adaptive quadrature, and truncated moments from explicit enumeration.  The
 one exception is ``type2_inverse_by_loop``, the reference for how
 ``verify_type2_inverse`` batches its trials: it reuses ``make_type2`` and
-``classify`` one trial at a time, so the two must agree to the bit.
+``classify`` one trial at a time, so the two must agree to the bit.  The
+whole-array forms of ``embed``, the coefficient assembly and the Hermitian
+input check at the end are the references for their temporary-free
+versions, which must agree with them exactly.
 """
 
 import itertools
+import math
 
 import numpy as np
 from scipy.integrate import quad
@@ -184,3 +188,41 @@ def type2_inverse_by_loop(n: int, trials: int, seed: int,
                                           resamples=resamples,
                                           max_residual=max_residual,
                                           worst_witness=worst_witness)
+
+
+def embed_by_complex_parts(coeffs: np.ndarray) -> np.ndarray:
+    """The ``2n x 2n`` embedding, built from whole ``lam``/``om`` complex arrays."""
+    n = coeffs.shape[0]
+    lam = coeffs[..., 0] + 1j * coeffs[..., 1]
+    om = coeffs[..., 2] + 1j * coeffs[..., 3]
+    out = np.empty((2 * n, 2 * n), dtype=complex)
+    out[0::2, 0::2] = lam
+    out[0::2, 1::2] = om
+    out[1::2, 0::2] = -om.conj()
+    out[1::2, 1::2] = lam.conj()
+    return out
+
+
+def assemble_by_fancy_indexing(n: int, off: np.ndarray, diag: np.ndarray,
+                               scale: float) -> np.ndarray:
+    """Scaled ``(n, n, 4)`` coefficients via ``triu_indices``, scaled after assembly."""
+    co = np.zeros((n, n, 4))
+    if n > 1:
+        iu = np.triu_indices(n, 1)
+        co[iu] = off
+        co[iu[1], iu[0]] = off * np.array([1.0, -1.0, -1.0, -1.0])
+    co[np.arange(n), np.arange(n), 0] = diag
+    return co * scale
+
+
+def hermitian_check_by_full_temporaries(a: np.ndarray):
+    """``(max |a|, max |a - a^H|)`` from whole-matrix temporaries.
+
+    The residual is None when an entry is not finite: the check raises then,
+    before it subtracts.
+    """
+    a = np.asarray(a, dtype=complex)
+    scale = float(np.max(np.abs(a))) if a.size else 0.0
+    if not math.isfinite(scale):
+        return scale, None
+    return scale, float(np.max(np.abs(a - a.conj().T))) if a.size else 0.0

@@ -6,8 +6,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from quatspectra import ensemble
+from quatspectra import ensemble, spectra
 from quatspectra.ensemble import (EnsembleSpec, EtaSchedule, GSECoefficients,
                                   RademacherCoefficients, SelfDualMatrix,
                                   SpecError, TwoPointCoefficients,
@@ -19,7 +21,8 @@ from quatspectra.ensemble import (EnsembleSpec, EtaSchedule, GSECoefficients,
 from quatspectra.experiment import check_pipeline_bounds
 from quatspectra.spectra import ESD, embed, hermitian_eigenvalues, levy_distance
 
-from oracles import (gse_tail_second_moment_by_quadrature,
+from oracles import (assemble_by_fancy_indexing,
+                     gse_tail_second_moment_by_quadrature,
                      normal_tail_second_moment_by_quadrature,
                      two_point_truncated_mean)
 
@@ -61,6 +64,27 @@ def test_sampling_is_deterministic():
     assert np.array_equal(a.coeffs, b.coeffs)
     c = sample_general(gse_spec(40, 99))
     assert np.array_equal(a.coeffs, c.coeffs)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, spectra._TILE - 1, spectra._TILE,
+                               spectra._TILE + 1, 2 * spectra._TILE + 3])
+@pytest.mark.parametrize("law", [GSECoefficients(), RademacherCoefficients(),
+                                 TwoPointCoefficients(-1.0, 3.0, 0.25)],
+                         ids=lambda law: law.kind)
+def test_assembly_matches_fancy_indexing_oracle(law, n):
+    # Same bits, signed zeros included: the draws are scaled before the
+    # sign flips of the mirror, the oracle after them.
+    w = sample_general(EnsembleSpec(n=n, distribution=law, seed=n))
+    rng = np.random.default_rng(n)
+    m = n * (n - 1) // 2
+    off = law.sample_coeffs(rng, m) if m else np.zeros((0, 4))
+    diag = law.sample_diag(rng, n)
+    want = assemble_by_fancy_indexing(n, off, diag, 1 / math.sqrt(n))
+    assert np.array_equal(w.coeffs.view(np.uint64), want.view(np.uint64))
+    off[::3] = 0.0  # the variance-floor replacement assembles exact zeros
+    unscaled = assemble_by_fancy_indexing(n, off, diag, 1.0)
+    assert np.array_equal(ensemble._assemble(n, off, diag).view(np.uint64),
+                          unscaled.view(np.uint64))
 
 
 def test_self_dual_invariants_hold():
@@ -498,3 +522,51 @@ def test_pipeline_final_entry_bound():
         norms = np.sqrt((norms**2).sum(axis=2))
         envelope = max(math.sqrt(2) * (trace.threshold + 1.0), 1.0)
         assert norms.max() <= envelope
+
+
+# ---------------------------------------------------------------------------
+# non-finite input
+# ---------------------------------------------------------------------------
+
+_NON_FINITE = st.sampled_from([math.nan, math.inf, -math.inf])
+
+
+def _raises_value_error(fn, *args):
+    """``fn(*args)`` raises ``ValueError`` (or a subclass), not ``LinAlgError``."""
+    with pytest.raises(ValueError) as info:
+        fn(*args)
+    assert not isinstance(info.value, np.linalg.LinAlgError), info.value
+
+
+@given(st.data())
+@settings(max_examples=60, deadline=None)
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_ensemble_rejects_non_finite_input(data):
+    bad = data.draw(_NON_FINITE, label="bad")
+    n = data.draw(st.integers(1, 6), label="n")
+    spec = gse_spec(n, n)
+    w = sample_general(spec)
+    co = w.coeffs.copy()
+    co[tuple(data.draw(st.integers(0, d - 1)) for d in co.shape)] = bad
+    _raises_value_error(SelfDualMatrix, co, w.scale)
+
+    mean = np.zeros(4)
+    mean[data.draw(st.integers(0, 3), label="component")] = bad
+    _raises_value_error(truncate, w, bad)
+    _raises_value_error(centralize, w, mean)
+    _raises_value_error(rescale, w, bad, 0)
+    _raises_value_error(lindeberg_statistic, spec, bad)
+
+    key = data.draw(st.sampled_from(["lo", "hi", "p"]), label="param")
+    params = {"lo": -1.0, "hi": 1.0, "p": 0.5, key: bad}
+    _raises_value_error(distribution_from_json({"kind": "two_point", "params": params}).validate)
+    for law in (TwoPointCoefficients(**params),
+                UserCoefficients(lambda rng, size: np.full((size, 4), bad))):
+        _raises_value_error(sample_general, EnsembleSpec(n=n, distribution=law, seed=0))
+        _raises_value_error(run_pipeline, EnsembleSpec(n=n, distribution=law, seed=0), w)
+    kind = data.draw(st.sampled_from(["power", "constant"]), label="eta kind")
+    bad_eta = EnsembleSpec(n=n, distribution=GSECoefficients(), seed=0,
+                           eta=EtaSchedule(kind, bad))
+    for fn in (sample_general, run_pipeline, lambda s: lindeberg_statistic(s, 0.5)):
+        _raises_value_error(fn, bad_eta)
+    _raises_value_error(run_pipeline, bad_eta, w)

@@ -1,7 +1,9 @@
+import copy
 import csv
 import hashlib
 import json
 import math
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -236,6 +238,55 @@ def test_from_json_rejects_wrong_typed_values(config, data):
         ExperimentConfig.from_json(obj)
 
 
+def _number_paths(obj, path=()):
+    """Paths of the numbers in a JSON value."""
+    if isinstance(obj, dict):
+        return [p for key, value in obj.items() for p in _number_paths(value, path + (key,))]
+    if isinstance(obj, list):
+        return [p for i, value in enumerate(obj) for p in _number_paths(value, path + (i,))]
+    return [path] if _is_number(obj) else []
+
+
+_NON_FINITE = st.sampled_from([math.nan, math.inf, -math.inf])
+
+
+@settings(max_examples=150, deadline=None)
+@given(_CONFIGS, _NON_FINITE, st.data())
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_experiment_rejects_non_finite_input(config, bad, data):
+    # Any number of the JSON form, replaced by a non-finite one.
+    obj = config.to_json()
+    path = data.draw(st.sampled_from(_number_paths(obj)), label="path")
+    target = obj
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = bad
+    with pytest.raises((ConfigError, SpecError)):
+        ExperimentConfig.from_json(obj)
+    # The same through a config built in Python.
+    for spoil in (lambda c: setattr(c, "check_tol", bad),
+                  lambda c: c.z_grid.append(complex(bad, 1.0)),
+                  lambda c: c.z_grid.append(complex(0.0, bad)),
+                  lambda c: setattr(c.ensemble.eta, "value", bad),
+                  lambda c: setattr(c.ensemble, "n", bad)):
+        spoilt = copy.deepcopy(config)
+        spoil(spoilt)
+        for fn in (run, verify):
+            with pytest.raises((ConfigError, SpecError)):
+                fn(spoilt)
+    slot = data.draw(st.integers(0, 2), label="slot")
+    args = [5, 8, 1]
+    args[slot] = bad
+    with pytest.raises(ConfigError):
+        trial_seed(*args)
+    with pytest.raises(ConfigError):
+        stieltjes_label(complex(bad, 1.0))
+    w = sample_general(replace(config.ensemble, n=4))
+    with pytest.raises(SpecError):
+        experiment.check_pipeline_bounds(replace(config.ensemble, n=4,
+                                                 eta=EtaSchedule("power", bad)), w)
+
+
 # ---------------------------------------------------------------------------
 # sweeps
 # ---------------------------------------------------------------------------
@@ -305,6 +356,39 @@ def test_run_records_a_failed_eigensolve_and_keeps_going(tmp_path, monkeypatch, 
     assert failed.check_failures == ["eigensolve error: injected failure"]
     emit(rows, "csv", tmp_path / "out.csv")
     assert (tmp_path / "out.csv").read_text().splitlines()[-1].endswith("nan,nan,nan,nan")
+
+
+@pytest.mark.parametrize("stage, error", [
+    ("sample", SpecError), ("sample", np.linalg.LinAlgError),
+    ("pipeline", ValueError), ("pipeline", np.linalg.LinAlgError)])
+def test_run_records_a_failed_draw_and_keeps_going(tmp_path, monkeypatch, stage, error):
+    config = small_config(tmp_path, pipeline=True, checks=("resolvent_structure",))
+    clean = run(config)
+    bad_seed = trial_seed(5, 4, 1)
+    name = {"sample": "sample_general", "pipeline": "run_pipeline"}[stage]
+    original = getattr(experiment, name)
+
+    def failing(spec, *args, **kwargs):
+        if spec.seed == bad_seed:
+            raise error("injected failure")
+        return original(spec, *args, **kwargs)
+
+    monkeypatch.setattr(experiment, name, failing)
+    rows = run(config)
+    assert [(r.n, r.trial) for r in rows] == [(4, 0), (4, 1), (8, 0), (8, 1)]
+    failed = rows[1]
+    assert [r.to_json() for i, r in enumerate(rows) if i != 1] == \
+        [r.to_json() for i, r in enumerate(clean) if i != 1]
+    assert failed.seed == bad_seed == clean[1].seed
+    assert math.isnan(failed.kolmogorov) and math.isnan(failed.levy)
+    assert all(math.isnan(v) for v in failed.stieltjes_errors.values())
+    assert failed.pipeline_summary is None
+    assert failed.check_failures == [f"{stage} error: injected failure"]
+    # The CLI exits 1, as for any recorded failure, and still writes every row.
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps(config.to_json()))
+    assert main(["sweep", "--config", str(cfg_path)]) == 1
+    assert len(Path(config.output_path).read_text().splitlines()) == 5
 
 
 def test_run_accepts_a_user_law(tmp_path):

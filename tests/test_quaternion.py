@@ -152,3 +152,33 @@ def test_scalar_and_additive_operators():
     assert x - x == Quaternion(0, 0, 0, 0)
     assert x + (-x) == Quaternion(0, 0, 0, 0)
     assert (x * 0.5).coeffs() == pytest.approx([0.5, -1, 1.5, -2])
+
+
+# ---------------------------------------------------------------------------
+# non-finite input
+# ---------------------------------------------------------------------------
+
+non_finite = st.sampled_from([np.nan, np.inf, -np.inf])
+
+
+@given(quaternions, non_finite, st.integers(0, 3), st.data())
+@settings(max_examples=60)
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_quaternion_rejects_non_finite_input(x, bad, slot, data):
+    coeffs = list(x.coeffs())
+    coeffs[slot] = bad
+    with pytest.raises(ValueError, match="finite"):
+        Quaternion(*coeffs)
+    with pytest.raises(ValueError, match="finite"):
+        x * bad
+    with pytest.raises(ValueError, match="finite"):
+        bad * x
+    # a product that overflows is not a quaternion either
+    huge = Quaternion(*[1e300] * 4)
+    with pytest.raises(ValueError, match="finite"):
+        multiply(huge, huge)
+    m = to_complex(x).astype(complex)
+    m.flat[slot] = data.draw(st.sampled_from([bad, complex(0.0, bad)]), label="entry")
+    for tol in (1e-9, np.inf):
+        with pytest.raises(ValueError):
+            from_complex(m, tol)

@@ -1,5 +1,7 @@
+import itertools
 import math
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -25,6 +27,7 @@ from quatspectra.experiment import (ConfigError, ExperimentConfig,
 from quatspectra.structure import classify
 
 from oracles import (count_eigs_below, eigenvalues_by_bisection,
+                     embed_by_complex_parts, hermitian_check_by_full_temporaries,
                      semicircle_cdf_by_quadrature,
                      semicircle_stieltjes_by_quadrature,
                      trace_minor_differences_by_minors)
@@ -55,6 +58,19 @@ def test_embedding_shifted_is_type2():
     w = sample_gse(50, seed=2)
     A = embed(w).values - 1j * np.eye(100)
     assert classify(A, tol=1e-12).classification == "TypeII"
+
+
+TILE = spectra._TILE
+# Quaternion orders on both sides of one and two tile edges of the embedding.
+TILE_ORDERS = [1, 2, 3, TILE - 1, TILE, TILE + 1, 2 * TILE + 3]
+LAWS = [GSECoefficients(), RademacherCoefficients(), TwoPointCoefficients(-1.0, 3.0, 0.25)]
+
+
+@pytest.mark.parametrize("n", TILE_ORDERS)
+@pytest.mark.parametrize("law", LAWS, ids=lambda law: law.kind)
+def test_embed_matches_complex_parts_oracle(law, n):
+    w = sample_general(EnsembleSpec(n=n, distribution=law, seed=n))
+    assert np.array_equal(embed(w).values, embed_by_complex_parts(w.coeffs))
 
 
 # ---------------------------------------------------------------------------
@@ -185,6 +201,83 @@ def test_two_stage_failure_raises_linalg_error(monkeypatch):
         hermitian_eigenvalues(_random_hermitian(TWO_STAGE_MIN, seed=16))
 
 
+def _check_outcome(A, monkeypatch):
+    """``hermitian_eigenvalues(A)`` with LAPACK stubbed out: None or the error text."""
+    monkeypatch.setattr(spectra, "_TWO_STAGE", lambda *args: 0)
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: np.zeros(len(a)))
+    try:
+        hermitian_eigenvalues(A)
+    except NotHermitianError as exc:
+        return str(exc)
+    return None
+
+
+def _oracle_outcome(A):
+    scale, residual = hermitian_check_by_full_temporaries(A)
+    if residual is None:
+        return "matrix entries must be finite"
+    if not residual <= 1e-10 * max(scale, 1e-300):
+        return f"Hermitian residual {residual:.3e} exceeds 1e-10 * {scale:.3e}"
+    return None
+
+
+def _spoilt_copies(A):
+    """``A`` with one entry changed on each side of a tile edge.
+
+    The changes are a rounding-level perturbation (passes), a large one
+    (fails the residual test), NaN and an infinite real or imaginary part.
+    """
+    N = A.shape[0]
+    cells = {(0, 0), (N - 1, 0)} | {(r, c) for r in (TILE - 1, TILE) for c in (TILE - 1, TILE)
+                                    if max(r, c) < N}
+    scale = max(1.0, float(np.abs(A).max()))
+    for cell in sorted(cells):
+        for change in (1e-13 * scale, 1e-6 * scale, math.nan, math.inf, complex(0, -math.inf)):
+            B = A.copy()
+            B[cell] += change
+            yield B
+
+
+def _assert_check_matches_oracle(A, monkeypatch):
+    for B in itertools.chain([A], _spoilt_copies(A)):  # one copy alive at a time
+        scale, residual = hermitian_check_by_full_temporaries(B)
+        if residual is None:
+            with pytest.raises(NotHermitianError, match="finite"):
+                spectra._hermitian_residual(B)
+        else:
+            assert spectra._hermitian_residual(B) == (scale, residual)
+        assert _check_outcome(B, monkeypatch) == _oracle_outcome(B)
+
+
+@pytest.mark.parametrize("n", TILE_ORDERS)
+@pytest.mark.parametrize("law", LAWS, ids=lambda law: law.kind)
+def test_tiled_hermitian_check_matches_full_temporaries(law, n, monkeypatch):
+    w = sample_general(EnsembleSpec(n=n, distribution=law, seed=n))
+    _assert_check_matches_oracle(embed(w).values, monkeypatch)
+
+
+@pytest.mark.parametrize("order", [TWO_STAGE_MIN - 1, TWO_STAGE_MIN])
+def test_tiled_hermitian_check_around_the_two_stage_crossover(order, monkeypatch):
+    # A general Hermitian matrix, of odd order on one side of the crossover.
+    _assert_check_matches_oracle(_random_hermitian(order, seed=order), monkeypatch)
+
+
+@needs_two_stage
+def test_spectral_sample_peak_memory_is_two_embeddings():
+    # Order 600 goes to zheevd_2stage.  Besides the embedding, only
+    # the copy LAPACK overwrites may be full-sized; the input check works in
+    # tiles.  LAPACK's own workspace is not allocated through Python.
+    w = sample_gse(300, seed=21)
+    embedding_bytes = 16 * (2 * w.n) ** 2
+    tracemalloc.start()
+    try:
+        SpectralSample.from_matrix(w)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.25 * embedding_bytes
+
+
 def test_trace_identity_zero_diagonal():
     w = sample_gse(40, seed=5)
     co = w.coeffs.copy()
@@ -221,6 +314,9 @@ def test_dedup_rejects_unpaired_spectrum():
 def test_dedup_rejects_nan_spectrum():
     with pytest.raises(PairingError):
         dedup_pairs(np.array([math.nan, math.nan, 1.0, 1.0]), tol=1e-8)
+    # inf - inf in the pair gaps must not warn before the error
+    with pytest.raises(PairingError, match="finite"):
+        dedup_pairs(np.array([1.0, 1.0, math.inf, math.inf]), tol=1e-8)
 
 
 def test_pair_degeneracy_of_sampled_ensembles():
@@ -634,7 +730,7 @@ def _spoiled(data, base, fills):
 
 @given(st.data())
 @settings(max_examples=60, deadline=None)
-@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_spectra_rejects_non_finite_input(data):
     n = data.draw(st.integers(1, 6), label="n")
     complex_fills = st.one_of(_NON_FINITE, st.sampled_from([complex(0, math.inf),
