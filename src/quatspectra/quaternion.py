@@ -17,6 +17,7 @@ share between workers.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -60,7 +61,13 @@ class Quaternion:
         return Quaternion(self.a, -self.b, -self.c, -self.d)
 
     def norm(self) -> float:
-        return float(np.sqrt(self.a**2 + self.b**2 + self.c**2 + self.d**2))
+        try:
+            r = float(np.sqrt(self.a**2 + self.b**2 + self.c**2 + self.d**2))
+        except OverflowError:  # a square beyond the float range
+            r = math.inf
+        if not 0.0 < r < math.inf and (self.a or self.b or self.c or self.d):
+            return math.hypot(self.a, self.b, self.c, self.d)  # the squares over- or underflowed
+        return r
 
     def coeffs(self) -> np.ndarray:
         return np.array([self.a, self.b, self.c, self.d])

@@ -129,17 +129,19 @@ _TWO_STAGE = _load_two_stage()
 # by 1.5x at 1600; see CHANGES.md for the measurement.
 _TWO_STAGE_MIN = 512
 _LAPACK_COL_MAJOR = 102
-_TILE = 256  # side of the square tiles in which the Hermitian input check reads
+_TILE = 128  # side of the square tiles in which the Hermitian input check reads
 
 
-def _two_stage_eigenvalues(A: np.ndarray) -> np.ndarray:
+def _two_stage_eigenvalues(A: np.ndarray, overwrite_a: bool) -> np.ndarray:
     """Eigenvalues of finite Hermitian ``A`` by ``zheevd_2stage`` (JOBZ=N, UPLO=L).
 
-    The C-ordered copy read as column-major is ``conj(A)``, which has the
-    same eigenvalues; LAPACK overwrites the copy.
+    The C-ordered array read as column-major is ``conj(A)``, with the same
+    eigenvalues.  LAPACK overwrites it: ``A`` itself if ``overwrite_a`` and
+    ``A`` is writeable and C-ordered, else a copy.
     """
     n = A.shape[0]
-    a = np.array(A, dtype=np.complex128, order="C")
+    to_c = np.asarray if overwrite_a and A.flags.writeable else np.array
+    a = to_c(A, dtype=np.complex128, order="C")
     w = np.empty(n)
     info = _TWO_STAGE(_LAPACK_COL_MAJOR, b"N", b"L", n, a.ctypes.data, n, w.ctypes.data)
     if info:
@@ -164,13 +166,15 @@ def _hermitian_residual(A: np.ndarray):
     return float(scale), float(residual)
 
 
-def hermitian_eigenvalues(m) -> np.ndarray:
+def hermitian_eigenvalues(m, *, overwrite_a: bool = False) -> np.ndarray:
     """All eigenvalues of a Hermitian matrix, ascending.
 
     The input must be finite and Hermitian within ``1e-10 * max|entry|``.
     From order ``_TWO_STAGE_MIN`` up they come from LAPACK's two-stage
     driver ``zheevd_2stage``, where numpy's OpenBLAS provides it; otherwise
-    from ``np.linalg.eigvalsh`` (``zheevd``).
+    from ``np.linalg.eigvalsh`` (``zheevd``).  ``overwrite_a`` (as in ``scipy.linalg``)
+    lets the two-stage driver overwrite the input after the checks, instead of
+    a copy; by default the input is never modified.
 
     Raises
     ------
@@ -184,7 +188,7 @@ def hermitian_eigenvalues(m) -> np.ndarray:
         raise NotHermitianError(
             f"Hermitian residual {residual:.3e} exceeds 1e-10 * {scale:.3e}")
     if _TWO_STAGE is not None and A.shape[0] >= _TWO_STAGE_MIN:
-        return _two_stage_eigenvalues(A)
+        return _two_stage_eigenvalues(A, overwrite_a)
     return np.linalg.eigvalsh(A)
 
 
@@ -227,7 +231,7 @@ class SpectralSample:
 
     @classmethod
     def from_matrix(cls, w: SelfDualMatrix) -> "SpectralSample":
-        full = hermitian_eigenvalues(embed(w))
+        full = hermitian_eigenvalues(embed(w), overwrite_a=True)
         dedup, residual = dedup_pairs(full, _PAIRING_TOL)
         return cls(n=w.n, eigenvalues_full=full, eigenvalues_dedup=dedup,
                    pairing_residual=residual)

@@ -6,9 +6,9 @@ adaptive quadrature, and truncated moments from explicit enumeration.  The
 one exception is ``type2_inverse_by_loop``, the reference for how
 ``verify_type2_inverse`` batches its trials: it reuses ``make_type2`` and
 ``classify`` one trial at a time, so the two must agree to the bit.  The
-whole-array forms of ``embed``, the coefficient assembly and the Hermitian
-input check at the end are the references for their temporary-free
-versions, which must agree with them exactly.
+whole-array forms of ``embed``, the coefficient assembly, the Hermitian
+input check and the self-dual check at the end are the references for their
+temporary-free versions, which must agree with them exactly.
 """
 
 import itertools
@@ -226,3 +226,19 @@ def hermitian_check_by_full_temporaries(a: np.ndarray):
     if not math.isfinite(scale):
         return scale, None
     return scale, float(np.max(np.abs(a - a.conj().T))) if a.size else 0.0
+
+
+def self_dual_check_by_whole_arrays(coeffs: np.ndarray):
+    """The message ``SelfDualMatrix.check`` raises for ``coeffs``, or None.
+
+    Compares the whole array with its conjugated transpose, then the
+    diagonal's imaginary parts with zero.
+    """
+    n = coeffs.shape[0]
+    mirrored = coeffs.transpose(1, 0, 2) * np.array([1.0, -1.0, -1.0, -1.0])
+    if not np.all(np.abs(coeffs - mirrored) <= 0.0):
+        return "matrix is not self-dual: entry(k,j) != conj(entry(j,k))"
+    diag = coeffs[np.arange(n), np.arange(n)]
+    if not np.all(np.abs(diag[:, 1:]) <= 0.0):
+        return "diagonal entries are not real quaternions"
+    return None

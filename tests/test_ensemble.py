@@ -1,7 +1,9 @@
+import itertools
 import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -9,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from quatspectra import ensemble, spectra
+from quatspectra import ensemble
 from quatspectra.ensemble import (EnsembleSpec, EtaSchedule, GSECoefficients,
                                   RademacherCoefficients, SelfDualMatrix,
                                   SpecError, TwoPointCoefficients,
@@ -24,7 +26,7 @@ from quatspectra.spectra import ESD, embed, hermitian_eigenvalues, levy_distance
 from oracles import (assemble_by_fancy_indexing,
                      gse_tail_second_moment_by_quadrature,
                      normal_tail_second_moment_by_quadrature,
-                     two_point_truncated_mean)
+                     self_dual_check_by_whole_arrays, two_point_truncated_mean)
 
 
 def spiky_two_point(p=0.05, hi=2.179449):
@@ -66,8 +68,7 @@ def test_sampling_is_deterministic():
     assert np.array_equal(a.coeffs, c.coeffs)
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, spectra._TILE - 1, spectra._TILE,
-                               spectra._TILE + 1, 2 * spectra._TILE + 3])
+@pytest.mark.parametrize("n", [1, 2, 3, 255, 256, 257, 515])
 @pytest.mark.parametrize("law", [GSECoefficients(), RademacherCoefficients(),
                                  TwoPointCoefficients(-1.0, 3.0, 0.25)],
                          ids=lambda law: law.kind)
@@ -104,6 +105,67 @@ def test_self_dual_check_rejects_bad_matrices():
     co2[0, 0, 1] = 1.0  # imaginary diagonal
     with pytest.raises(ValueError):
         SelfDualMatrix(co2, 1.0).check()
+
+
+def _self_dual_check_outcome(co):
+    try:
+        SelfDualMatrix(co, 1.0).check()
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+def _perturbed_coeffs(co):
+    """Copies of ``co`` with one coefficient changed on, above or below the diagonal.
+
+    Each change is made alone (breaking the mirror unless it is a sign of
+    zero) and together with the matching change of the mirror entry.
+    """
+    n = co.shape[0]
+    edge = [j for j in (0, 63, 64, n // 2, n - 1) if j < n]  # the check reads 64 x 64 tiles
+    cells = set(itertools.product(edge, edge))
+    signs = np.array([1.0, -1.0, -1.0, -1.0])
+    for (j, k), c in itertools.product(sorted(cells), range(4)):
+        x = co[j, k, c]
+        for value in (np.nextafter(x, np.inf), -x, 0.0, -0.0, x + 1.0):
+            for mirror in (False, True):
+                out = co.copy()
+                out[j, k, c] = value
+                if mirror:
+                    out[k, j, c] = value * signs[c]
+                yield out
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 50, 64, 65, 130])
+def test_self_dual_check_matches_whole_array_oracle(n):
+    co = sample_gse(n, seed=n).coeffs.copy()
+    # exact zeros of both signs in the mirrored pairs and on the diagonal
+    co[0, -1, 2], co[-1, 0, 2] = -0.0, 0.0
+    co[-1, -1, 1:] = -0.0
+    outcomes = []
+    for bad in itertools.chain([co], _perturbed_coeffs(co)):
+        expected = self_dual_check_by_whole_arrays(bad)
+        assert _self_dual_check_outcome(bad) == expected
+        outcomes.append(expected)
+    assert outcomes[0] is None
+    assert "matrix is not self-dual: entry(k,j) != conj(entry(j,k))" in outcomes
+    assert None in outcomes[1:]
+    # an imaginary diagonal part breaks the mirror test before the diagonal one
+    co = co.copy()  # the check above made co read-only
+    co[0, 0, 3] = 0.5
+    assert _self_dual_check_outcome(co) == self_dual_check_by_whole_arrays(co) \
+        == "matrix is not self-dual: entry(k,j) != conj(entry(j,k))"
+
+
+def test_self_dual_check_needs_no_full_size_temporary():
+    w = sample_gse(300, seed=22)
+    tracemalloc.start()
+    try:
+        w.check()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.25 * w.coeffs.nbytes
 
 
 def test_entry_accessor_is_one_based_conjugate_mirror():

@@ -340,10 +340,10 @@ def test_run_records_a_failed_eigensolve_and_keeps_going(tmp_path, monkeypatch, 
     bad = spectra.embed(sample_general(spec)).values
     solve = spectra.hermitian_eigenvalues
 
-    def failing(m):
+    def failing(m, **kwargs):
         if np.array_equal(m.values, bad):
             raise error("injected failure")
-        return solve(m)
+        return solve(m, **kwargs)
 
     monkeypatch.setattr(spectra, "hermitian_eigenvalues", failing)
     rows = run(config)

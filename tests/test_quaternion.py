@@ -1,6 +1,8 @@
+import math
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from quatspectra.quaternion import (I1, I2, I3, UNIT, Quaternion, ShapeError,
@@ -86,6 +88,32 @@ def test_norm_examples():
     # multiplicativity checked against the explicit product
     prod = multiply(Quaternion(1, 2, 3, 4), Quaternion(4, 3, 2, 1))
     assert norm(prod) == pytest.approx(30.0, rel=1e-12)
+
+
+@pytest.mark.parametrize("x, expected", [
+    (Quaternion(1e200, 0, 0, 0), 1e200),
+    (Quaternion(1e-200, 0, 0, 0), 1e-200),
+    (Quaternion(0, -3 * 2.0**600, 0, 4 * 2.0**600), 5 * 2.0**600),
+    (Quaternion(0, 0, 3 * 2.0**-600, -4 * 2.0**-600), 5 * 2.0**-600),
+    # each square is finite, their sum is not
+    (Quaternion(1.2e154, 1.2e154, 0, 0), math.hypot(1.2e154, 1.2e154)),
+    (Quaternion(1e308, 1e308, 1e308, 1e308), math.inf),
+])
+def test_norm_beyond_the_range_of_the_squares(x, expected):
+    assert norm(x) == expected
+
+
+finite = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@given(finite, finite, finite, finite)
+def test_norm_keeps_the_sum_of_squares_where_it_is_representable(a, b, c, d):
+    try:
+        plain = float(np.sqrt(a**2 + b**2 + c**2 + d**2))
+    except OverflowError:
+        plain = math.inf
+    assume(0.0 < plain < math.inf)
+    assert norm(Quaternion(a, b, c, d)).hex() == plain.hex()
 
 
 @given(quaternions, quaternions)

@@ -61,8 +61,9 @@ def test_embedding_shifted_is_type2():
 
 
 TILE = spectra._TILE
-# Quaternion orders on both sides of one and two tile edges of the embedding.
-TILE_ORDERS = [1, 2, 3, TILE - 1, TILE, TILE + 1, 2 * TILE + 3]
+# Quaternion orders n whose embeddings (order 2n) end just before, on and just
+# after a tile edge, and several tiles on.
+TILE_ORDERS = [1, 2, 3, 2 * TILE - 1, 2 * TILE, 2 * TILE + 1, 4 * TILE + 3]
 LAWS = [GSECoefficients(), RademacherCoefficients(), TwoPointCoefficients(-1.0, 3.0, 0.25)]
 
 
@@ -263,10 +264,10 @@ def test_tiled_hermitian_check_around_the_two_stage_crossover(order, monkeypatch
 
 
 @needs_two_stage
-def test_spectral_sample_peak_memory_is_two_embeddings():
-    # Order 600 goes to zheevd_2stage.  Besides the embedding, only
-    # the copy LAPACK overwrites may be full-sized; the input check works in
-    # tiles.  LAPACK's own workspace is not allocated through Python.
+def test_spectral_sample_peak_memory_is_one_embedding():
+    # Order 600 goes to zheevd_2stage, which overwrites the embedding
+    # itself; the input check works in tiles.  LAPACK's own workspace is not
+    # allocated through Python.
     w = sample_gse(300, seed=21)
     embedding_bytes = 16 * (2 * w.n) ** 2
     tracemalloc.start()
@@ -275,7 +276,67 @@ def test_spectral_sample_peak_memory_is_two_embeddings():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= 2.25 * embedding_bytes
+    assert peak <= 1.25 * embedding_bytes
+
+
+BOTH_DRIVERS = [200, 600]  # orders below and above _TWO_STAGE_MIN
+
+
+def _embedded_gse(order, seed):
+    return embed(sample_gse(order // 2, seed=seed)).values
+
+
+@pytest.mark.parametrize("order", BOTH_DRIVERS)
+def test_eigenvalues_leave_the_input_alone_by_default(order):
+    A = _embedded_gse(order, seed=23)
+    before = A.copy()
+    hermitian_eigenvalues(A)
+    assert A.tobytes() == before.tobytes()
+
+
+@pytest.mark.parametrize("order", BOTH_DRIVERS)
+def test_overwrite_a_gives_the_same_eigenvalues(order):
+    A = _embedded_gse(order, seed=24)
+    expected = hermitian_eigenvalues(A)
+    B = A.copy()
+    got = hermitian_eigenvalues(B, overwrite_a=True)
+    assert got.tobytes() == expected.tobytes()
+    if spectra._TWO_STAGE is not None and order >= TWO_STAGE_MIN:
+        assert not np.array_equal(B, A)  # LAPACK worked in the caller's array
+
+
+@pytest.mark.parametrize("change", [1e-6, math.nan, math.inf])
+@pytest.mark.parametrize("order", BOTH_DRIVERS)
+def test_rejected_input_is_not_overwritten(order, change, monkeypatch):
+    monkeypatch.setattr(spectra, "_TWO_STAGE", _no_lapack)
+    A = _random_hermitian(order, seed=25)
+    A[order - 1, 0] += change
+    before = A.copy()
+    with pytest.raises(NotHermitianError):
+        hermitian_eigenvalues(A, overwrite_a=True)
+    assert A.tobytes() == before.tobytes()
+
+
+@needs_two_stage
+def test_overwrite_a_copies_input_it_cannot_overwrite():
+    A = _random_hermitian(TWO_STAGE_MIN + 8, seed=26)
+    expected = hermitian_eigenvalues(A)
+    padded = np.zeros((2 * A.shape[0], A.shape[0]), dtype=complex)
+    padded[::2] = A
+    strided, fortran, read_only = padded[::2], np.asfortranarray(A), A.copy()
+    read_only.setflags(write=False)
+    owners = (padded, fortran, read_only)
+    snapshots = [B.copy() for B in owners]
+    for B in (strided, fortran, read_only):
+        assert hermitian_eigenvalues(B, overwrite_a=True).tobytes() == expected.tobytes()
+    assert all(np.array_equal(B, snap) for B, snap in zip(owners, snapshots))
+    # A real symmetric float64 input is converted to complex, and left alone.
+    S = np.ascontiguousarray(A.real)
+    S_before = S.copy()
+    got = hermitian_eigenvalues(S, overwrite_a=True)
+    assert got.tobytes() == hermitian_eigenvalues(S.astype(complex)).tobytes()
+    assert S.tobytes() == S_before.tobytes()
+    assert np.max(np.abs(got - np.linalg.eigvalsh(S))) <= 1e-12 * np.abs(got).max()
 
 
 def test_trace_identity_zero_diagonal():
