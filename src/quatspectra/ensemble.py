@@ -450,14 +450,24 @@ class SelfDualMatrix:
     coeffs: np.ndarray
     scale: float
 
-    def __post_init__(self):
-        self.coeffs = np.asarray(self.coeffs, dtype=float)
+    def __post_init__(self, copy: bool = True):
+        # By default a copy: the caller's array stays writeable, and no alias
+        # of it can change the coefficients once they are checked.
+        self.coeffs = (np.array if copy else np.asarray)(self.coeffs, dtype=float, order="C")
         if self.coeffs.ndim != 3 or self.coeffs.shape[2] != 4 \
                 or self.coeffs.shape[0] != self.coeffs.shape[1]:
             raise ValueError(f"expected (n, n, 4) coefficients, got {self.coeffs.shape}")
         if not np.isfinite(self.coeffs).all():
             raise ValueError("matrix entries must be finite")
         self.coeffs.setflags(write=False)
+
+    @classmethod
+    def _owning(cls, coeffs: np.ndarray, scale: float) -> "SelfDualMatrix":
+        """A matrix that takes over ``coeffs``, a new array no one else holds, uncopied."""
+        w = cls.__new__(cls)
+        w.coeffs, w.scale = coeffs, scale
+        w.__post_init__(copy=False)
+        return w
 
     @property
     def n(self) -> int:
@@ -483,9 +493,6 @@ class SelfDualMatrix:
                 mirror = co[k:k + t, i:i + t].transpose(1, 0, 2) * _CONJ_SIGNS
                 if not np.all(np.abs(co[i:i + t, k:k + t] - mirror) <= 0.0):
                     raise ValueError("matrix is not self-dual: entry(k,j) != conj(entry(j,k))")
-
-    def with_coeffs(self, coeffs: np.ndarray) -> "SelfDualMatrix":
-        return SelfDualMatrix(coeffs, self.scale)
 
 
 def _assemble(n: int, off: np.ndarray, diag: np.ndarray) -> np.ndarray:
@@ -513,7 +520,7 @@ def sample_general(spec: EnsembleSpec) -> SelfDualMatrix:
     off = spec.distribution.sample_coeffs(rng, m) if m else np.zeros((0, 4))
     diag = spec.distribution.sample_diag(rng, n)
     scale = 1.0 / math.sqrt(n)
-    return SelfDualMatrix(_assemble(n, off * scale, diag * scale), scale)
+    return SelfDualMatrix._owning(_assemble(n, off * scale, diag * scale), scale)
 
 
 def sample_gse(n: int, seed: int) -> SelfDualMatrix:
@@ -633,7 +640,7 @@ def truncate(w: SelfDualMatrix, eta_n: float):
 
     coeffs = w.coeffs.copy()
     coeffs[mask] = 0.0
-    out = w.with_coeffs(coeffs)
+    out = SelfDualMatrix._owning(coeffs, w.scale)
 
     upper = np.triu(mask)
     truncated_count = int(upper.sum())
@@ -658,7 +665,7 @@ def zero_diagonal(w: SelfDualMatrix):
     coeffs = w.coeffs.copy()
     idx = np.arange(w.n)
     coeffs[idx, idx] = 0.0
-    out = w.with_coeffs(coeffs)
+    out = SelfDualMatrix._owning(coeffs, w.scale)
     record = StageRecord(name="zero_diagonal", levy_cube_bound=_levy_cube_bound(w, out))
     return out, record
 
@@ -696,7 +703,7 @@ def centralize(w: SelfDualMatrix, truncated_mean: np.ndarray):
     upper = np.triu_indices(w.n, 1)
     coeffs[upper] -= mu
     coeffs[upper[1], upper[0]] -= mu * _CONJ_SIGNS
-    out = w.with_coeffs(coeffs)
+    out = SelfDualMatrix._owning(coeffs, w.scale)
     record = StageRecord(
         name="centralize",
         levy_cube_bound=_levy_cube_bound(w, out),
@@ -742,7 +749,7 @@ def rescale(w: SelfDualMatrix, sigma_sq: float, seed: int):
         replacements = m
         sigma = 1.0
 
-    out = w.with_coeffs(coeffs)
+    out = SelfDualMatrix._owning(coeffs, w.scale)
     record = StageRecord(
         name="rescale",
         levy_cube_bound=_levy_cube_bound(w, out),

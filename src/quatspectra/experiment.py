@@ -405,8 +405,7 @@ def check_pipeline_bounds(spec: EnsembleSpec, w: Optional[SelfDualMatrix] = None
     bound.
     """
     _, trace = run_pipeline(spec, w, keep_matrices=True)
-    esds = [ESD(spectra.hermitian_eigenvalues(spectra.embed(m), overwrite_a=True))
-            for _, m in trace.matrices]
+    esds = [ESD(SpectralSample.from_matrix(m).eigenvalues_full) for _, m in trace.matrices]
     outcomes = []
     for record, prev, cur in zip(trace.stages, esds, esds[1:]):
         entry = {"stage": record.name}

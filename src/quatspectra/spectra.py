@@ -21,7 +21,7 @@ from typing import Optional
 
 import numpy as np
 
-from .ensemble import SelfDualMatrix
+from .ensemble import _CONJ_SIGNS, SelfDualMatrix
 from .structure import BlockMatrix, StructureReport, _as_matrix, classify
 
 __all__ = [
@@ -103,33 +103,44 @@ def _square_matrix(m) -> np.ndarray:
     return A
 
 
-def _load_two_stage():
-    """LAPACKE ``zheevd_2stage`` of the OpenBLAS bundled with numpy, or None.
+_OPENBLAS = sorted((Path(np.__file__).resolve().parent.parent / "numpy.libs").glob(
+    "libscipy_openblas64_*.so"))
 
-    The wheel's OpenBLAS exports it with 64-bit ``lapack_int`` under the
-    ``scipy_`` prefix; another numpy build has no such library and falls back
-    to ``eigvalsh``.
+
+def _load_symbol(name: str, restype, *argtypes):
+    """Function ``name`` of the OpenBLAS bundled with numpy, or None.
+
+    The wheel's OpenBLAS exports CBLAS and LAPACKE with 64-bit integers under
+    the ``scipy_`` prefix; another numpy build has no such library, and its
+    callers fall back to ``eigvalsh`` and the embedding.
     """
-    libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
-    for path in sorted(libs.glob("libscipy_openblas64_*.so")):
+    for path in _OPENBLAS:
         try:
-            fn = ctypes.CDLL(str(path)).scipy_LAPACKE_zheevd_2stage64_
+            fn = getattr(ctypes.CDLL(str(path)), name)
         except (OSError, AttributeError):
             continue
-        fn.restype = ctypes.c_int64
-        fn.argtypes = [ctypes.c_int, ctypes.c_char, ctypes.c_char, ctypes.c_int64,
-                       ctypes.c_void_p, ctypes.c_int64, ctypes.c_void_p]
+        fn.restype = restype
+        fn.argtypes = argtypes
         return fn
     return None
 
 
-_TWO_STAGE = _load_two_stage()
+_INT, _PTR = ctypes.c_int64, ctypes.c_void_p
+_TWO_STAGE = _load_symbol("scipy_LAPACKE_zheevd_2stage64_", _INT, ctypes.c_int, ctypes.c_char,
+                          ctypes.c_char, _INT, _PTR, _INT, _PTR)
+_ZGEMM = _load_symbol("scipy_cblas_zgemm64_", None, *[ctypes.c_int] * 3, _INT, _INT, _INT,
+                      _PTR, _PTR, _INT, _PTR, _INT, _PTR, _PTR, _INT)
+_DSTERF = _load_symbol("scipy_LAPACKE_dsterf64_", _INT, _INT, _PTR, _PTR)
 # Order from which the two-stage driver is used.  On 2 cores (OpenBLAS
 # 0.3.31) it tied one-stage ``zheevd`` near order 400 and won from 448 up,
 # by 1.5x at 1600; see CHANGES.md for the measurement.
 _TWO_STAGE_MIN = 512
 _LAPACK_COL_MAJOR = 102
 _TILE = 128  # side of the square tiles in which the Hermitian input check reads
+# Self-dual order n from which SpectralSample takes the quaternion reduction
+# (per-draw timings in CHANGES.md), and the reflectors per panel there.
+_QUAT_MIN = 256
+_NB = 8
 
 
 def _two_stage_eigenvalues(A: np.ndarray, overwrite_a: bool) -> np.ndarray:
@@ -152,18 +163,32 @@ def _two_stage_eigenvalues(A: np.ndarray, overwrite_a: bool) -> np.ndarray:
 def _hermitian_residual(A: np.ndarray):
     """Exact ``(max |A|, max |A - A^H|)``, reading each tile with its mirror tile.
 
-    A non-finite entry raises NotHermitianError before any subtraction.
+    ``A`` is complex, or the ``(n, n, 4)`` coefficients of a quaternion matrix,
+    whose parts ``a + bi`` and ``c + di`` give the values of its embedding.  A
+    non-finite entry raises NotHermitianError before any subtraction.
     """
+    quaternion = A.ndim == 3
+    t = _TILE // 2 if quaternion else _TILE  # a quaternion entry is 2 embedded rows
     scale = residual = 0.0
-    for i in range(0, A.shape[0], _TILE):
-        for j in range(i, A.shape[0], _TILE):
-            a, b = A[i:i + _TILE, j:j + _TILE], A[j:j + _TILE, i:i + _TILE]
+    for i in range(0, A.shape[0], t):
+        for j in range(i, A.shape[0], t):
+            a, b = A[i:i + t, j:j + t], A[j:j + t, i:i + t]
             # np.max, unlike the builtin max(), propagates NaN
-            scale = np.max([scale, np.abs(a).max(), np.abs(b).max()])
+            scale = np.max([scale, np.abs(a.view(complex)).max(), np.abs(b.view(complex)).max()])
             if not np.isfinite(scale):
                 raise NotHermitianError("matrix entries must be finite")
-            residual = np.maximum(residual, np.abs(a - b.conj().T).max())
+            mirror = b.transpose(1, 0, 2) * _CONJ_SIGNS if quaternion else b.conj().T
+            residual = np.maximum(residual, np.abs((a - mirror).view(complex)).max())
     return float(scale), float(residual)
+
+
+def _require_hermitian(A: np.ndarray) -> float:
+    """``max |entry|`` of ``A`` (as in :func:`_hermitian_residual`) once it passes the check."""
+    scale, residual = _hermitian_residual(A)
+    if not residual <= 1e-10 * max(scale, 1e-300):
+        raise NotHermitianError(
+            f"Hermitian residual {residual:.3e} exceeds 1e-10 * {scale:.3e}")
+    return scale
 
 
 def hermitian_eigenvalues(m, *, overwrite_a: bool = False) -> np.ndarray:
@@ -183,13 +208,103 @@ def hermitian_eigenvalues(m, *, overwrite_a: bool = False) -> np.ndarray:
         fails.
     """
     A = _square_matrix(m)
-    scale, residual = _hermitian_residual(A)
-    if not residual <= 1e-10 * max(scale, 1e-300):
-        raise NotHermitianError(
-            f"Hermitian residual {residual:.3e} exceeds 1e-10 * {scale:.3e}")
+    _require_hermitian(A)
     if _TWO_STAGE is not None and A.shape[0] >= _TWO_STAGE_MIN:
         return _two_stage_eigenvalues(A, overwrite_a)
     return np.linalg.eigvalsh(A)
+
+
+_ONE, _MINUS_ONE = np.ones(1, complex), -np.ones(1, complex)
+_ROW_MAJOR, _NO_TRANS, _TRANS, _CONJ_TRANS = 101, 111, 112, 113  # CBLAS enums
+# Signs of a reflector's partner planes [-y2 y1 -v2 v1] in _quaternion_tridiagonal
+_SIGNS = np.array([[1.0, -1.0, 1.0, -1.0], [-1.0, 1.0, -1.0, 1.0]]).reshape(2, 1, 2, 2)
+
+
+def _subtract_product(C: np.ndarray, A: np.ndarray, B: np.ndarray, trans: int) -> None:
+    """``C -= A @ op(B)`` in place by ``cblas_zgemm`` (row-major views, unit column stride)."""
+    _ZGEMM(_ROW_MAJOR, _NO_TRANS, trans, C.shape[0], C.shape[1], A.shape[1],
+           _MINUS_ONE.ctypes.data, A.ctypes.data, A.strides[0] // 16, B.ctypes.data,
+           B.strides[0] // 16, _ONE.ctypes.data, C.ctypes.data, C.strides[0] // 16)
+
+
+def _quaternion_tridiagonal(w: SelfDualMatrix):
+    """``(d, e, exp)``: ``2^exp`` times the symmetric tridiagonal ``(d, e)`` has the
+    eigenvalues of self-dual ``w``, each once, found without the embedding.
+
+    ``w`` is held as two complex planes, ``q = z1 + z2 j`` with ``z1 = a + bi``
+    Hermitian and ``z2 = c + di`` skew-symmetric, in one working copy scaled
+    by ``2^-exp`` to ``max|entry|`` near 1.  Quaternion Householder
+    reflections ``I - tau v v^*`` (``tau`` real) reduce it to a tridiagonal
+    matrix with real diagonal ``d`` and off-diagonal moduli ``e``; a diagonal
+    quaternion phase makes it real without changing the eigenvalues.  Each
+    reflector's update ``A -= v y^* + y v^*`` reads, for ``P = [v1 v2 y1 y2]``,
+    ``z1 -= P [y1 y2 v1 v2]^H`` and ``z2 -= P [-y2 y1 -v2 v1]^T``; as in
+    LAPACK's LATRD, a panel of ``_NB`` of them corrects its own columns and
+    products on the fly and reaches the rest by one in-place GEMM per plane.
+    Raises NotHermitianError as :func:`hermitian_eigenvalues` does for ``embed(w)``.
+    """
+    n, nb = w.n, _NB
+    exp = max(math.frexp(_require_hermitian(w.coeffs))[1], -1000)  # 2^-exp is finite
+    Z1, Z2 = Z = np.empty((2, n, n), dtype=complex)
+    np.multiply(w.coeffs.view(complex).transpose(2, 0, 1), math.ldexp(1.0, -exp), out=Z)
+    d, e = np.empty(n), np.zeros(max(n - 1, 0))
+    P = np.empty((n, 4 * nb), dtype=complex)  # [v1 v2 y1 y2] of each reflector
+    col = np.empty((2, n), dtype=complex)
+    for k in range(0, n, nb):
+        P[k:] = 0.0
+        for j in range(min(nb, n - k)):
+            c = k + j
+            x = col[:, :n - c]  # column c of each plane, read from row c
+            np.conjugate(Z1[c, c:], out=x[0])
+            np.negative(Z2[c, c:], out=x[1])
+            if j:  # less the panel's updates: P times row c of the partners
+                row = P[c, :4 * j].reshape(j, 2, 2)
+                partners = np.stack([row[:, ::-1].conj(), row[:, ::-1, ::-1] * _SIGNS[1]])
+                x -= partners.reshape(2, 4 * j) @ P[c:, :4 * j].T
+            d[c] = x[0, 0].real
+            x = x[:, 1:]
+            r = math.sqrt(np.vdot(x, x).real)
+            if r == 0.0:  # also past the last column
+                continue
+            e[c] = r
+            # v = (x + s r e_1) / (|x_0| + r), s = x_0 / |x_0| (1 if x_0 = 0): H x = -s r e_1
+            x0 = math.hypot(abs(x[0, 0]), abs(x[1, 0]))
+            tau = (x0 + r) / r
+            v = x / (x0 + r)
+            v[:, 0] = x[:, 0] / x0 if x0 else (1.0, 0.0)
+            # y = tau (A - panel) v, A v = (z1 v1 - z2 conj(v2), z1 v2 + z2 conj(v1))
+            y, vc = np.empty_like(v), v.conj()
+            Z1t, Z2t = Z1[c + 1:, c + 1:], Z2[c + 1:, c + 1:]
+            np.matmul(Z1t, v[0], out=y[0])
+            y[0] -= Z2t @ vc[1]
+            np.matmul(Z1t, v[1], out=y[1])
+            y[1] += Z2t @ vc[0]
+            if j:  # (P [y1 y2 v1 v2]^H) v1 - (P [-y2 y1 -v2 v1]^T) conj(v2), and for v2
+                Pt = P[c + 1:, :4 * j]
+                u = (vc @ Pt).conj().reshape(2, j, 2, 2)  # P^H v1, P^H v2
+                u = u[:, :, ::-1] + u[::-1, :, ::-1, ::-1].conj() * _SIGNS
+                y -= u.reshape(2, 4 * j) @ Pt.T
+            y *= tau
+            y -= (0.5 * tau * np.vdot(v, y).real) * v
+            P[c + 1:, 4 * j:4 * j + 2] = v.T
+            P[c + 1:, 4 * j + 2:4 * j + 4] = y.T
+        s = k + nb
+        if s < n:
+            Pt = P[s:].reshape(n - s, nb, 2, 2)
+            _subtract_product(Z1[s:, s:], P[s:], Pt[:, :, ::-1].reshape(n - s, -1), _CONJ_TRANS)
+            _subtract_product(Z2[s:, s:], P[s:],
+                              (Pt[:, :, ::-1, ::-1] * _SIGNS[1]).reshape(n - s, -1), _TRANS)
+    return d, e, exp
+
+
+def _quaternion_eigenvalues(w: SelfDualMatrix) -> np.ndarray:
+    """The n eigenvalues of self-dual ``w``, ascending: LAPACK ``dsterf`` of
+    :func:`_quaternion_tridiagonal`; LinAlgError if it does not converge."""
+    d, e, exp = _quaternion_tridiagonal(w)
+    info = _DSTERF(w.n, d.ctypes.data, e.ctypes.data)
+    if info:
+        raise np.linalg.LinAlgError(f"dsterf failed with info={info}")
+    return np.ldexp(d, exp)
 
 
 def dedup_pairs(eigs: np.ndarray, tol: float):
@@ -231,6 +346,13 @@ class SpectralSample:
 
     @classmethod
     def from_matrix(cls, w: SelfDualMatrix) -> "SpectralSample":
+        """Spectrum of ``w``: from ``n = _QUAT_MIN`` up by the quaternion reduction,
+        whose pairs are exact by construction (``pairing_residual`` 0.0); below
+        it, or without ``cblas_zgemm`` or ``dsterf``, from the embedding."""
+        if w.n >= _QUAT_MIN and _ZGEMM is not None and _DSTERF is not None:
+            dedup = _quaternion_eigenvalues(w)
+            return cls(n=w.n, eigenvalues_full=np.repeat(dedup, 2),
+                       eigenvalues_dedup=dedup, pairing_residual=0.0)
         full = hermitian_eigenvalues(embed(w), overwrite_a=True)
         dedup, residual = dedup_pairs(full, _PAIRING_TOL)
         return cls(n=w.n, eigenvalues_full=full, eigenvalues_dedup=dedup,

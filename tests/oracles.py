@@ -2,7 +2,8 @@
 
 Nothing here shares code with the package's computational paths: eigenvalues
 come from Sylvester inertia bisection on LDL factorizations, integrals from
-adaptive quadrature, and truncated moments from explicit enumeration.  The
+adaptive quadrature, and truncated moments from explicit enumeration; a
+tridiagonal matrix's eigenvalues are counted by its Sturm sequence.  The
 one exception is ``type2_inverse_by_loop``, the reference for how
 ``verify_type2_inverse`` batches its trials: it reuses ``make_type2`` and
 ``classify`` one trial at a time, so the two must agree to the bit.  The
@@ -39,6 +40,20 @@ def count_eigs_below(a: np.ndarray, t: float) -> int:
         else:
             count += int(d[i, i].real < 0)
             i += 1
+    return count
+
+
+def sturm_count(d: np.ndarray, e: np.ndarray, t: float) -> int:
+    """Eigenvalues below ``t`` of the real symmetric tridiagonal ``(d, e)``.
+
+    Counts the negative pivots of ``T - t I = L D L^T``, one row at a time
+    (Sylvester inertia).  A zero pivot raises ZeroDivisionError; a random
+    ``t`` does not meet one.
+    """
+    count, q = 0, 1.0
+    for k, dk in enumerate(map(float, d)):
+        q = dk - t - (float(e[k - 1]) ** 2 / q if k else 0.0)
+        count += q < 0
     return count
 
 

@@ -3,8 +3,11 @@ import csv
 import hashlib
 import json
 import math
+import runpy
+import sys
 from dataclasses import replace
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -389,6 +392,48 @@ def test_run_records_a_failed_draw_and_keeps_going(tmp_path, monkeypatch, stage,
     cfg_path.write_text(json.dumps(config.to_json()))
     assert main(["sweep", "--config", str(cfg_path)]) == 1
     assert len(Path(config.output_path).read_text().splitlines()) == 5
+
+
+@pytest.mark.skipif(spectra._DSTERF is None, reason="numpy's OpenBLAS lacks dsterf")
+def test_run_records_a_failed_dsterf_and_keeps_going(tmp_path, monkeypatch):
+    # Every draw takes the quaternion reduction; dsterf fails on the n = 8 draws.
+    config = small_config(tmp_path, checks=("resolvent_structure",))
+    monkeypatch.setattr(spectra, "_QUAT_MIN", 1)
+    clean = run(config)
+    dsterf = spectra._DSTERF
+    monkeypatch.setattr(spectra, "_DSTERF", lambda n, d, e: 1 if n == 8 else dsterf(n, d, e))
+    rows = run(config)
+    assert [r.to_json() for r in rows[:2]] == [r.to_json() for r in clean[:2]]
+    for failed in rows[2:]:
+        assert math.isnan(failed.kolmogorov) and math.isnan(failed.levy)
+        assert all(math.isnan(v) for v in failed.stieltjes_errors.values())
+        assert failed.check_failures == ["eigensolve error: dsterf failed with info=1"]
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps(config.to_json()))
+    assert main(["sweep", "--config", str(cfg_path)]) == 1
+    assert Path(config.output_path).read_text().splitlines()[-1].endswith("nan,nan,nan,nan")
+
+
+def test_large_sweep_matches_the_benchmark_reference(tmp_path, monkeypatch):
+    # The sweep_gse_large workload at the benchmark's default seed, held to
+    # its reference CSV by the benchmark's own comparison, so a drift of the
+    # large-n eigenvalue path fails here too.  run_path only reads the files.
+    bench = Path(__file__).resolve().parents[1] / "perfbench"
+    for name in ("tracing", "workloads"):  # run.py imports them by name
+        module = SimpleNamespace(**runpy.run_path(str(bench / f"{name}.py")))
+        monkeypatch.setitem(sys.modules, name, module)
+    close = runpy.run_path(str(bench / "run.py"))["_close"]
+    workloads = sys.modules["workloads"]
+    workload = workloads.WORKLOADS["sweep_gse_large"]
+    config = ExperimentConfig.from_json(
+        workload.config_json(workloads.DEFAULT_SEED, str(tmp_path / "sweep.csv")))
+    with open(emit(run(config), "csv", config.output_path), newline="") as fh:
+        header, *rows = csv.reader(fh)
+    with open(bench / "reference" / workload.reference_csv, newline="") as fh:
+        ref_header, *reference = csv.reader(fh)
+    assert header == ref_header and len(rows) == len(reference) == len(workload.trials())
+    for row, ref in zip(rows, reference):
+        assert close(row, ref), (row, ref)
 
 
 def test_run_accepts_a_user_law(tmp_path):

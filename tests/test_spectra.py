@@ -2,6 +2,7 @@ import itertools
 import math
 import os
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -29,7 +30,7 @@ from quatspectra.structure import classify
 from oracles import (count_eigs_below, eigenvalues_by_bisection,
                      embed_by_complex_parts, hermitian_check_by_full_temporaries,
                      semicircle_cdf_by_quadrature,
-                     semicircle_stieltjes_by_quadrature,
+                     semicircle_stieltjes_by_quadrature, sturm_count,
                      trace_minor_differences_by_minors)
 
 
@@ -264,11 +265,13 @@ def test_tiled_hermitian_check_around_the_two_stage_crossover(order, monkeypatch
 
 
 @needs_two_stage
-def test_spectral_sample_peak_memory_is_one_embedding():
-    # Order 600 goes to zheevd_2stage, which overwrites the embedding
-    # itself; the input check works in tiles.  LAPACK's own workspace is not
-    # allocated through Python.
+def test_spectral_sample_peak_memory_is_one_embedding(monkeypatch):
+    # n = 300 lies below _QUAT_MIN here, so the embedding path runs: order
+    # 600 goes to zheevd_2stage, which overwrites the embedding itself; the
+    # input check works in tiles.  LAPACK's own workspace is not allocated
+    # through Python.
     w = sample_gse(300, seed=21)
+    monkeypatch.setattr(spectra, "_QUAT_MIN", w.n + 1)
     embedding_bytes = 16 * (2 * w.n) ** 2
     tracemalloc.start()
     try:
@@ -337,6 +340,146 @@ def test_overwrite_a_copies_input_it_cannot_overwrite():
     assert got.tobytes() == hermitian_eigenvalues(S.astype(complex)).tobytes()
     assert S.tobytes() == S_before.tobytes()
     assert np.max(np.abs(got - np.linalg.eigvalsh(S))) <= 1e-12 * np.abs(got).max()
+
+
+# ---------------------------------------------------------------------------
+# quaternion tridiagonal reduction
+# ---------------------------------------------------------------------------
+
+NB = spectra._NB
+QUAT_MIN = spectra._QUAT_MIN
+QUAT_ORDERS = [1, 2, 3, NB - 1, NB, NB + 1, 2 * NB + 1, QUAT_MIN, 300, 800]
+QUAT_LAWS = [GSECoefficients(), RademacherCoefficients(), UniformCoefficients(),
+             TwoPointCoefficients(-1.0, 3.0, 0.25)]
+needs_quaternion = pytest.mark.skipif(spectra._ZGEMM is None or spectra._DSTERF is None,
+                                      reason="numpy's OpenBLAS lacks cblas_zgemm or dsterf")
+
+
+def _assert_matches_embedding(w):
+    got = spectra._quaternion_eigenvalues(w)
+    expected = hermitian_eigenvalues(embed(w))[0::2]
+    assert np.all(np.diff(got) >= 0)
+    assert np.max(np.abs(got - expected)) <= 1e-12 * np.abs(expected).max()
+    return got
+
+
+@needs_quaternion
+@pytest.mark.parametrize("n", QUAT_ORDERS)
+@pytest.mark.parametrize("law", QUAT_LAWS, ids=lambda law: law.kind)
+def test_quaternion_path_matches_the_embedding(law, n):
+    _assert_matches_embedding(sample_general(EnsembleSpec(n=n, distribution=law, seed=n)))
+
+
+@needs_quaternion
+def test_quaternion_path_matches_the_embedding_on_a_pipelined_draw():
+    spec = EnsembleSpec(n=QUAT_MIN, distribution=TwoPointCoefficients(-3.0, 1.0, 0.75),
+                        seed=31, eta=EtaSchedule("constant", 0.05))
+    w, trace = run_pipeline(spec, keep_matrices=False)
+    assert trace.stages[0].truncated_count > 0
+    _assert_matches_embedding(w)
+
+
+@needs_quaternion
+def test_quaternion_path_on_a_diagonal_matrix():
+    diag = np.array([3.0, -1.0, 0.5, 2.0, -4.0, 0.0, 1.0])
+    co = np.zeros((7, 7, 4))
+    co[np.arange(7), np.arange(7), 0] = diag
+    w = SelfDualMatrix(co, 1.0)
+    d, e, exp = spectra._quaternion_tridiagonal(w)  # every column is zero: no reflector
+    assert np.array_equal(np.ldexp(d, exp), diag) and not e.any()
+    assert np.array_equal(_assert_matches_embedding(w), np.sort(diag))
+
+
+@needs_quaternion
+@pytest.mark.parametrize("n", [3, NB + 2])
+def test_quaternion_path_with_a_zero_first_subdiagonal_entry(n):
+    co = sample_gse(n, seed=32).coeffs.copy()
+    co[1, 0] = co[0, 1] = 0.0  # x_0 = 0 in the first reflector
+    _assert_matches_embedding(SelfDualMatrix(co, 1.0))
+
+
+@needs_quaternion
+@pytest.mark.parametrize("power", [500, -500])
+def test_quaternion_path_scales_entries_near_the_float_limits(power):
+    w = sample_gse(2 * NB + 1, seed=33)
+    big = SelfDualMatrix(np.ldexp(w.coeffs, power), w.scale)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = _assert_matches_embedding(big)
+    # The working copy is scaled by a power of two, so only the exponent moves.
+    assert np.array_equal(got, np.ldexp(spectra._quaternion_eigenvalues(w), power))
+
+
+@needs_quaternion
+@pytest.mark.parametrize("n", [5, 2 * NB + 1, 48])
+@pytest.mark.parametrize("law", QUAT_LAWS, ids=lambda law: law.kind)
+def test_quaternion_tridiagonal_matches_sturm_counts(law, n):
+    w = sample_general(EnsembleSpec(n=n, distribution=law, seed=34 + n))
+    d, e, exp = spectra._quaternion_tridiagonal(w)
+    A = embed(w).values
+    for t in np.random.default_rng(n).uniform(-2.5, 2.5, size=6):
+        assert 2 * sturm_count(np.ldexp(d, exp), np.ldexp(e, exp), t) == count_eigs_below(A, t)
+
+
+def _quaternion_outcome(w):
+    """The error text ``_quaternion_eigenvalues(w)`` raises, or None."""
+    try:
+        spectra._quaternion_eigenvalues(w)
+    except NotHermitianError as exc:
+        return str(exc)
+    return None
+
+
+@needs_quaternion
+@pytest.mark.parametrize("n", [1, 2, 3, TILE // 2, TILE // 2 + 1, TILE + 2])
+def test_quaternion_check_matches_full_temporaries(n):
+    # The same residual as the embedding's, read from the coefficients in
+    # tiles: the same inputs pass or fail, with the same message.
+    co = sample_gse(n, seed=35).coeffs
+    half = TILE // 2
+    cells = {(0, 0), (n - 1, 0)} | {(r, c) for r in (half - 1, half) for c in (half - 1, half)
+                                    if max(r, c) < n}
+    for (r, c), part, change in itertools.product(sorted(cells), range(4), (1e-13, 1e-6)):
+        spoilt = co.copy()
+        spoilt[r, c, part] += change
+        w = SelfDualMatrix(spoilt, 1.0)
+        A = embed(w).values
+        assert spectra._hermitian_residual(w.coeffs) == hermitian_check_by_full_temporaries(A)
+        assert _quaternion_outcome(w) == _oracle_outcome(A)
+
+
+@needs_quaternion
+def test_spectral_sample_takes_the_quaternion_path_from_quat_min():
+    w = sample_gse(QUAT_MIN, seed=36)
+    sample = SpectralSample.from_matrix(w)
+    assert sample.pairing_residual == 0.0
+    assert np.array_equal(sample.eigenvalues_dedup, spectra._quaternion_eigenvalues(w))
+    assert np.array_equal(sample.eigenvalues_full, np.repeat(sample.eigenvalues_dedup, 2))
+
+
+@pytest.mark.parametrize("symbol", ["_ZGEMM", "_DSTERF"])
+def test_spectral_sample_without_a_symbol_uses_the_embedding(symbol, monkeypatch):
+    w = sample_gse(QUAT_MIN, seed=37)
+    monkeypatch.setattr(spectra, symbol, None)
+    sample = SpectralSample.from_matrix(w)
+    full = hermitian_eigenvalues(embed(w))
+    dedup, residual = dedup_pairs(full, spectra._PAIRING_TOL)
+    assert sample.eigenvalues_full.tobytes() == full.tobytes()
+    assert sample.eigenvalues_dedup.tobytes() == dedup.tobytes()
+    assert sample.pairing_residual == residual > 0.0
+
+
+@needs_quaternion
+def test_spectral_sample_peak_memory_on_the_quaternion_path():
+    # One working copy of the coefficients plus panels of O(n * _NB).
+    w = sample_gse(400, seed=38)
+    tracemalloc.start()
+    try:
+        SpectralSample.from_matrix(w)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * w.coeffs.nbytes
 
 
 def test_trace_identity_zero_diagonal():
