@@ -495,14 +495,16 @@ class SelfDualMatrix:
                     raise ValueError("matrix is not self-dual: entry(k,j) != conj(entry(j,k))")
 
 
-def _assemble(n: int, off: np.ndarray, diag: np.ndarray) -> np.ndarray:
-    """Full (n, n, 4) coefficient array from row-major upper-triangle and diagonal draws."""
+def _assemble(n: int, off: np.ndarray, diag: np.ndarray, scale: float) -> np.ndarray:
+    """Full (n, n, 4) coefficient array from row-major upper-triangle and diagonal
+    draws, times ``scale``: the same bits as from scaled draws (mirror signs are +-1)."""
     co = np.zeros((n, n, 4))
+    signs = _CONJ_SIGNS * scale
     for j in range(n - 1):
         row = off[j * (2 * n - j - 1) // 2:][:n - 1 - j]  # row j starts after j shorter rows
-        co[j, j + 1:] = row
-        np.multiply(row, _CONJ_SIGNS, out=co[j + 1:, j])
-    co[np.arange(n), np.arange(n), 0] = diag
+        np.multiply(row, scale, out=co[j, j + 1:])
+        np.multiply(row, signs, out=co[j + 1:, j])
+    co[np.arange(n), np.arange(n), 0] = diag * scale
     return co
 
 
@@ -520,7 +522,7 @@ def sample_general(spec: EnsembleSpec) -> SelfDualMatrix:
     off = spec.distribution.sample_coeffs(rng, m) if m else np.zeros((0, 4))
     diag = spec.distribution.sample_diag(rng, n)
     scale = 1.0 / math.sqrt(n)
-    return SelfDualMatrix._owning(_assemble(n, off * scale, diag * scale), scale)
+    return SelfDualMatrix._owning(_assemble(n, off, diag, scale), scale)
 
 
 def sample_gse(n: int, seed: int) -> SelfDualMatrix:
@@ -740,11 +742,10 @@ def rescale(w: SelfDualMatrix, sigma_sq: float, seed: int):
     else:
         rng = np.random.default_rng(np.random.SeedSequence((seed, _RESCALE_TAG)))
         m = n * (n - 1) // 2
-        signs = rng.choice([-1.0, 1.0], size=m)
         off = np.zeros((m, 4))
-        off[:, 0] = signs * w.scale
+        off[:, 0] = rng.choice([-1.0, 1.0], size=m)
         diag_saved = coeffs[idx, idx].copy()
-        coeffs = _assemble(n, off, np.zeros(n))
+        coeffs = _assemble(n, off, np.zeros(n), w.scale)
         coeffs[idx, idx] = diag_saved
         replacements = m
         sigma = 1.0

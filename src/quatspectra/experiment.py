@@ -249,18 +249,24 @@ def _run_trial(config: ExperimentConfig, hist_dir, draw) -> ConvergenceRow:
     n = spec.n
     t0 = time.perf_counter()
 
-    failures = []
-    stage, w, summary, sample = "sample", None, None, None
+    failures, checks = [], []  # checks: the resolvent check failures
+    stage, summary, sample = "sample", None, None
     kolmogorov = levy = math.nan
     serrs = dict.fromkeys(map(stieltjes_label, config.z_grid), math.nan)
     try:
-        drawn = sample_general(spec)
+        w = sample_general(spec)
         if config.pipeline:
             stage = "pipeline"
-            drawn, trace = run_pipeline(spec, drawn, keep_matrices=False)
+            w, trace = run_pipeline(spec, w, keep_matrices=False)
             summary = trace.to_json()
-        w, stage = drawn, "eigensolve"
-        sample = SpectralSample.from_matrix(w)
+        try:  # before the eigensolve takes over w's array
+            for name, z, passed, _, failure in _resolvent_checks(w, config, config.checks):
+                if not passed:
+                    checks.append(f"{name} z={z}: " + _SWEEP_FAILURE[name].format(**failure))
+        except Exception as exc:  # never abort the sweep
+            checks.append(f"check error: {exc}")
+        stage = "eigensolve"
+        sample = SpectralSample.from_matrix(w, overwrite=True)
     except (ValueError, np.linalg.LinAlgError) as exc:
         # one bad draw must not abort the sweep: its row keeps NaN distances
         failures.append(f"{stage} error: {exc}")
@@ -271,14 +277,7 @@ def _run_trial(config: ExperimentConfig, hist_dir, draw) -> ConvergenceRow:
         for z in config.z_grid:
             point = empirical_stieltjes(sample, z)
             serrs[stieltjes_label(z)] = abs(point.value - semicircle_stieltjes(z))
-
-    if w is not None:  # a draw that failed to sample or reduce has nothing to check
-        try:
-            for name, z, passed, _, failure in _resolvent_checks(w, config, config.checks):
-                if not passed:
-                    failures.append(f"{name} z={z}: " + _SWEEP_FAILURE[name].format(**failure))
-        except Exception as exc:  # never abort the sweep
-            failures.append(f"check error: {exc}")
+    failures += checks
 
     if hist_dir is not None and sample is not None:
         histogram_csv(sample.eigenvalues_dedup,
@@ -300,8 +299,8 @@ def _run_trial(config: ExperimentConfig, hist_dir, draw) -> ConvergenceRow:
 def run(config: ExperimentConfig, jobs: int = 1) -> list:
     """Execute the sweep; rows are sorted by (n, trial) and deterministic."""
     config.validate()
-    if jobs < 1:
-        raise ConfigError(f"jobs must be at least 1, got {jobs}")
+    if not _is_count(jobs):
+        raise ConfigError(f"jobs must be an integer >= 1, got {jobs!r}")
     hist_dir = None
     if config.histograms:
         hist_dir = str(Path(config.output_path).resolve().parent)

@@ -215,93 +215,86 @@ def hermitian_eigenvalues(m, *, overwrite_a: bool = False) -> np.ndarray:
 
 
 _ONE, _MINUS_ONE = np.ones(1, complex), -np.ones(1, complex)
-_ROW_MAJOR, _NO_TRANS, _TRANS, _CONJ_TRANS = 101, 111, 112, 113  # CBLAS enums
-# Signs of a reflector's partner planes [-y2 y1 -v2 v1] in _quaternion_tridiagonal
-_SIGNS = np.array([[1.0, -1.0, 1.0, -1.0], [-1.0, 1.0, -1.0, 1.0]]).reshape(2, 1, 2, 2)
+_ROW_MAJOR, _NO_TRANS, _TRANS = 101, 111, 112  # CBLAS enums
 
 
-def _subtract_product(C: np.ndarray, A: np.ndarray, B: np.ndarray, trans: int) -> None:
-    """``C -= A @ op(B)`` in place by ``cblas_zgemm`` (row-major views, unit column stride)."""
-    _ZGEMM(_ROW_MAJOR, _NO_TRANS, trans, C.shape[0], C.shape[1], A.shape[1],
-           _MINUS_ONE.ctypes.data, A.ctypes.data, A.strides[0] // 16, B.ctypes.data,
-           B.strides[0] // 16, _ONE.ctypes.data, C.ctypes.data, C.strides[0] // 16)
-
-
-def _quaternion_tridiagonal(w: SelfDualMatrix):
+def _quaternion_tridiagonal(w: SelfDualMatrix, overwrite: bool = False):
     """``(d, e, exp)``: ``2^exp`` times the symmetric tridiagonal ``(d, e)`` has the
     eigenvalues of self-dual ``w``, each once, found without the embedding.
 
-    ``w`` is held as two complex planes, ``q = z1 + z2 j`` with ``z1 = a + bi``
-    Hermitian and ``z2 = c + di`` skew-symmetric, in one working copy scaled
-    by ``2^-exp`` to ``max|entry|`` near 1.  Quaternion Householder
-    reflections ``I - tau v v^*`` (``tau`` real) reduce it to a tridiagonal
-    matrix with real diagonal ``d`` and off-diagonal moduli ``e``; a diagonal
-    quaternion phase makes it real without changing the eigenvalues.  Each
-    reflector's update ``A -= v y^* + y v^*`` reads, for ``P = [v1 v2 y1 y2]``,
-    ``z1 -= P [y1 y2 v1 v2]^H`` and ``z2 -= P [-y2 y1 -v2 v1]^T``; as in
-    LAPACK's LATRD, a panel of ``_NB`` of them corrects its own columns and
-    products on the fly and reaches the rest by one in-place GEMM per plane.
-    Raises NotHermitianError as :func:`hermitian_eigenvalues` does for ``embed(w)``.
+    It works in the coefficient layout, the complex ``n x 2n`` matrix ``M`` with
+    ``M[i, 2k] = z1[i, k]``, ``M[i, 2k + 1] = z2[i, k]`` for ``q = z1 + z2 j``,
+    scaled by ``2^-exp`` to ``max|entry|`` near 1: a copy, or with ``overwrite``
+    ``w``'s own array (``w.coeffs`` is then None).  Quaternion Householder
+    reflections ``I - tau v v^*`` (``tau`` real) leave a real diagonal ``d`` and
+    off-diagonal moduli ``e``; a diagonal quaternion phase makes it real.  ``A v``
+    is ``M u`` for the interleaved columns ``u = [(v1, -conj v2), (v2, conj v1)]``,
+    and ``A -= v y^* + y v^*`` is ``M -= P R^T`` for ``P = [v1 v2 y1 y2]`` and
+    ``R[2i] = conj[y1 y2 v1 v2]``, ``R[2i + 1] = [-y2 y1 -v2 v1]``.  As in LAPACK's
+    LATRD, a panel of ``_NB`` reflectors corrects its own rows and products on the
+    fly and reaches the rest by one in-place GEMM.  Raises NotHermitianError as
+    :func:`hermitian_eigenvalues` does for ``embed(w)``, leaving ``w`` as it was.
     """
     n, nb = w.n, _NB
     exp = max(math.frexp(_require_hermitian(w.coeffs))[1], -1000)  # 2^-exp is finite
-    Z1, Z2 = Z = np.empty((2, n, n), dtype=complex)
-    np.multiply(w.coeffs.view(complex).transpose(2, 0, 1), math.ldexp(1.0, -exp), out=Z)
+    co = w.coeffs
+    if overwrite:  # w is spent from here; its array is reduced in place unless a view
+        w.coeffs = None
+        co.setflags(write=co.base is None)
+    M = co.view(complex).reshape(n, 2 * n)
+    M = np.multiply(M, math.ldexp(1.0, -exp), out=M if overwrite and M.flags.writeable else None)
     d, e = np.empty(n), np.zeros(max(n - 1, 0))
-    P = np.empty((n, 4 * nb), dtype=complex)  # [v1 v2 y1 y2] of each reflector
-    col = np.empty((2, n), dtype=complex)
+    P = np.empty((n, 4 * nb), dtype=complex)
+    R = np.empty((2 * n, 4 * nb), dtype=complex)
+    U, Y = np.empty((2, 2 * n), dtype=complex), np.empty((2, n), dtype=complex)
     for k in range(0, n, nb):
-        P[k:] = 0.0
+        P[k:], R[2 * k:] = 0.0, 0.0
         for j in range(min(nb, n - k)):
             c = k + j
-            x = col[:, :n - c]  # column c of each plane, read from row c
-            np.conjugate(Z1[c, c:], out=x[0])
-            np.negative(Z2[c, c:], out=x[1])
-            if j:  # less the panel's updates: P times row c of the partners
-                row = P[c, :4 * j].reshape(j, 2, 2)
-                partners = np.stack([row[:, ::-1].conj(), row[:, ::-1, ::-1] * _SIGNS[1]])
-                x -= partners.reshape(2, 4 * j) @ P[c:, :4 * j].T
-            d[c] = x[0, 0].real
-            x = x[:, 1:]
+            row = M[c, 2 * c:] - R[2 * c:, :4 * j] @ P[c, :4 * j]  # less the panel's updates
+            d[c] = row[0].real
+            x = row[2:]  # column c below the diagonal is (conj z1, -z2) of row c
             r = math.sqrt(np.vdot(x, x).real)
             if r == 0.0:  # also past the last column
                 continue
             e[c] = r
             # v = (x + s r e_1) / (|x_0| + r), s = x_0 / |x_0| (1 if x_0 = 0): H x = -s r e_1
-            x0 = math.hypot(abs(x[0, 0]), abs(x[1, 0]))
+            x0 = math.hypot(abs(x[0]), abs(x[1]))
             tau = (x0 + r) / r
-            v = x / (x0 + r)
-            v[:, 0] = x[:, 0] / x0 if x0 else (1.0, 0.0)
-            # y = tau (A - panel) v, A v = (z1 v1 - z2 conj(v2), z1 v2 + z2 conj(v1))
-            y, vc = np.empty_like(v), v.conj()
-            Z1t, Z2t = Z1[c + 1:, c + 1:], Z2[c + 1:, c + 1:]
-            np.matmul(Z1t, v[0], out=y[0])
-            y[0] -= Z2t @ vc[1]
-            np.matmul(Z1t, v[1], out=y[1])
-            y[1] += Z2t @ vc[0]
-            if j:  # (P [y1 y2 v1 v2]^H) v1 - (P [-y2 y1 -v2 v1]^T) conj(v2), and for v2
-                Pt = P[c + 1:, :4 * j]
-                u = (vc @ Pt).conj().reshape(2, j, 2, 2)  # P^H v1, P^H v2
-                u = u[:, :, ::-1] + u[::-1, :, ::-1, ::-1].conj() * _SIGNS
-                y -= u.reshape(2, 4 * j) @ Pt.T
+            m = n - c - 1
+            u, y = U[:, :2 * m], Y[:, :m]
+            np.conjugate(x, out=u[0])
+            np.negative(x[1::2], out=u[1, 0::2])
+            u[1, 1::2] = x[0::2]
+            u[:, 2:] /= x0 + r
+            u[:, :2] = u[:, :2] / x0 if x0 else np.eye(2)
+            # y = tau (A - panel) v, then y -= (tau / 2) (v^* y) v
+            np.matmul(M[c + 1:, 2 * c + 2:], u[0], out=y[0])
+            np.matmul(M[c + 1:, 2 * c + 2:], u[1], out=y[1])
+            if j:
+                y -= (u @ R[2 * c + 2:, :4 * j]) @ P[c + 1:, :4 * j].T
             y *= tau
+            v = u[:, 0::2]
             y -= (0.5 * tau * np.vdot(v, y).real) * v
-            P[c + 1:, 4 * j:4 * j + 2] = v.T
-            P[c + 1:, 4 * j + 2:4 * j + 4] = y.T
+            P[c + 1:, 4 * j:4 * j + 2], P[c + 1:, 4 * j + 2:4 * j + 4] = v.T, y.T
+            ry = R[2 * c + 2:, 4 * j:4 * j + 2]
+            np.conjugate(y.T, out=ry[0::2])
+            np.negative(y[1], out=ry[1::2, 0])
+            ry[1::2, 1] = y[0]
+            np.conjugate(u.T, out=R[2 * c + 2:, 4 * j + 2:4 * j + 4])
         s = k + nb
-        if s < n:
-            Pt = P[s:].reshape(n - s, nb, 2, 2)
-            _subtract_product(Z1[s:, s:], P[s:], Pt[:, :, ::-1].reshape(n - s, -1), _CONJ_TRANS)
-            _subtract_product(Z2[s:, s:], P[s:],
-                              (Pt[:, :, ::-1, ::-1] * _SIGNS[1]).reshape(n - s, -1), _TRANS)
+        if s < n:  # M[s:, 2s:] -= P[s:] R[2s:]^T
+            _ZGEMM(_ROW_MAJOR, _NO_TRANS, _TRANS, n - s, 2 * (n - s), 4 * nb,
+                   _MINUS_ONE.ctypes.data, P[s:].ctypes.data, 4 * nb, R[2 * s:].ctypes.data,
+                   4 * nb, _ONE.ctypes.data, M[s:, 2 * s:].ctypes.data, 2 * n)
     return d, e, exp
 
 
-def _quaternion_eigenvalues(w: SelfDualMatrix) -> np.ndarray:
+def _quaternion_eigenvalues(w: SelfDualMatrix, overwrite: bool = False) -> np.ndarray:
     """The n eigenvalues of self-dual ``w``, ascending: LAPACK ``dsterf`` of
     :func:`_quaternion_tridiagonal`; LinAlgError if it does not converge."""
-    d, e, exp = _quaternion_tridiagonal(w)
-    info = _DSTERF(w.n, d.ctypes.data, e.ctypes.data)
+    d, e, exp = _quaternion_tridiagonal(w, overwrite)
+    info = _DSTERF(d.size, d.ctypes.data, e.ctypes.data)
     if info:
         raise np.linalg.LinAlgError(f"dsterf failed with info={info}")
     return np.ldexp(d, exp)
@@ -345,17 +338,23 @@ class SpectralSample:
     pairing_residual: float
 
     @classmethod
-    def from_matrix(cls, w: SelfDualMatrix) -> "SpectralSample":
+    def from_matrix(cls, w: SelfDualMatrix, *, overwrite: bool = False) -> "SpectralSample":
         """Spectrum of ``w``: from ``n = _QUAT_MIN`` up by the quaternion reduction,
         whose pairs are exact by construction (``pairing_residual`` 0.0); below
-        it, or without ``cblas_zgemm`` or ``dsterf``, from the embedding."""
-        if w.n >= _QUAT_MIN and _ZGEMM is not None and _DSTERF is not None:
-            dedup = _quaternion_eigenvalues(w)
-            return cls(n=w.n, eigenvalues_full=np.repeat(dedup, 2),
+        it, or without ``cblas_zgemm`` or ``dsterf``, from the embedding.
+        ``overwrite`` (as ``overwrite_a``) lets the reduction use ``w``'s own array
+        once the input checks pass, and spends ``w`` (``w.coeffs`` None); by
+        default, or if the checks reject it, ``w`` is left as it was."""
+        n = w.n
+        if n >= _QUAT_MIN and _ZGEMM is not None and _DSTERF is not None:
+            dedup = _quaternion_eigenvalues(w, overwrite)
+            return cls(n=n, eigenvalues_full=np.repeat(dedup, 2),
                        eigenvalues_dedup=dedup, pairing_residual=0.0)
         full = hermitian_eigenvalues(embed(w), overwrite_a=True)
+        if overwrite:
+            w.coeffs = None
         dedup, residual = dedup_pairs(full, _PAIRING_TOL)
-        return cls(n=w.n, eigenvalues_full=full, eigenvalues_dedup=dedup,
+        return cls(n=n, eigenvalues_full=full, eigenvalues_dedup=dedup,
                    pairing_residual=residual)
 
     def to_json(self) -> dict:
@@ -460,13 +459,13 @@ def empirical_stieltjes(sample, z: complex) -> StieltjesPoint:
     DomainError
         If ``z`` is not finite or ``Im z <= 0``.
     ValueError
-        If an eigenvalue is not finite.
+        If there is no eigenvalue or one is not finite.
     """
     z = _upper_half_plane(z)
     eigs = sample.eigenvalues_full if isinstance(sample, SpectralSample) \
         else np.asarray(sample, dtype=float)
-    if not np.all(np.isfinite(eigs)):
-        raise ValueError("eigenvalues must be finite")
+    if not (eigs.size and np.all(np.isfinite(eigs))):
+        raise ValueError("eigenvalues must be nonempty and finite")
     value = complex(np.mean(1.0 / (eigs - z)))
     return StieltjesPoint(z=z, value=value)
 
@@ -646,8 +645,8 @@ def esd_to_csv(e: ESD, path) -> None:
 def histogram_csv(values, path, bins: int = 40) -> None:
     """Histogram of finite eigenvalues with the unit semicircle overlay, as CSV."""
     values = np.asarray(values, dtype=float)
-    if not np.all(np.isfinite(values)):
-        raise ValueError("histogram values must be finite")
+    if not (values.size and np.all(np.isfinite(values))):
+        raise ValueError("histogram values must be nonempty and finite")
     lo = min(-_HIST_HALF_WIDTH, float(values.min()))
     hi = max(_HIST_HALF_WIDTH, float(values.max()))
     counts, edges = np.histogram(values, bins=bins, range=(lo, hi))

@@ -230,6 +230,12 @@ def assemble_by_fancy_indexing(n: int, off: np.ndarray, diag: np.ndarray,
     return co * scale
 
 
+def assemble_scaled_first(n: int, off: np.ndarray, diag: np.ndarray,
+                          scale: float) -> np.ndarray:
+    """Scaled ``(n, n, 4)`` coefficients via ``triu_indices``, from draws scaled first."""
+    return assemble_by_fancy_indexing(n, off * scale, diag * scale, 1.0)
+
+
 def hermitian_check_by_full_temporaries(a: np.ndarray):
     """``(max |a|, max |a - a^H|)`` from whole-matrix temporaries.
 

@@ -3,7 +3,6 @@ import math
 import os
 import subprocess
 import sys
-import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -23,7 +22,8 @@ from quatspectra.ensemble import (EnsembleSpec, EtaSchedule, GSECoefficients,
 from quatspectra.experiment import check_pipeline_bounds
 from quatspectra.spectra import ESD, embed, hermitian_eigenvalues, levy_distance
 
-from oracles import (assemble_by_fancy_indexing,
+from memtrace import traced_peak
+from oracles import (assemble_by_fancy_indexing, assemble_scaled_first,
                      gse_tail_second_moment_by_quadrature,
                      normal_tail_second_moment_by_quadrature,
                      self_dual_check_by_whole_arrays, two_point_truncated_mean)
@@ -70,22 +70,27 @@ def test_sampling_is_deterministic():
 
 @pytest.mark.parametrize("n", [1, 2, 3, 255, 256, 257, 515])
 @pytest.mark.parametrize("law", [GSECoefficients(), RademacherCoefficients(),
+                                 UniformCoefficients(),
                                  TwoPointCoefficients(-1.0, 3.0, 0.25)],
                          ids=lambda law: law.kind)
 def test_assembly_matches_fancy_indexing_oracle(law, n):
-    # Same bits, signed zeros included: the draws are scaled before the
-    # sign flips of the mirror, the oracle after them.
+    # Same bits, signed zeros included: _assemble scales as it fills, by
+    # scale and by the mirror signs times scale; one oracle scales the draws
+    # first, the other the assembled array.
     w = sample_general(EnsembleSpec(n=n, distribution=law, seed=n))
     rng = np.random.default_rng(n)
     m = n * (n - 1) // 2
     off = law.sample_coeffs(rng, m) if m else np.zeros((0, 4))
     diag = law.sample_diag(rng, n)
-    want = assemble_by_fancy_indexing(n, off, diag, 1 / math.sqrt(n))
-    assert np.array_equal(w.coeffs.view(np.uint64), want.view(np.uint64))
+    scale = 1 / math.sqrt(n)
+    for want in (assemble_scaled_first(n, off, diag, scale),
+                 assemble_by_fancy_indexing(n, off, diag, scale)):
+        assert np.array_equal(w.coeffs.view(np.uint64), want.view(np.uint64))
     off[::3] = 0.0  # the variance-floor replacement assembles exact zeros
-    unscaled = assemble_by_fancy_indexing(n, off, diag, 1.0)
-    assert np.array_equal(ensemble._assemble(n, off, diag).view(np.uint64),
-                          unscaled.view(np.uint64))
+    off[1::3, 1:] = -0.0
+    for s in (scale, 1.0):
+        assert np.array_equal(ensemble._assemble(n, off, diag, s).view(np.uint64),
+                              assemble_scaled_first(n, off, diag, s).view(np.uint64))
 
 
 def test_self_dual_invariants_hold():
@@ -158,13 +163,7 @@ def test_self_dual_check_matches_whole_array_oracle(n):
 
 def test_self_dual_check_needs_no_full_size_temporary():
     w = sample_gse(300, seed=22)
-    tracemalloc.start()
-    try:
-        w.check()
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < 0.25 * w.coeffs.nbytes
+    assert traced_peak(w.check) < 0.25 * w.coeffs.nbytes
 
 
 def test_matrix_leaves_the_callers_array_writeable():
@@ -182,17 +181,11 @@ def test_matrix_coefficients_do_not_change_through_a_view():
 
 
 def test_sample_general_hands_its_array_over_without_a_copy():
-    # The raw upper triangle, its scaled copy and the assembled array: about
-    # 2.006 coefficient arrays at n = 300 before the constructor copied, and
-    # a copy there would add 1.
-    sample_gse(300, seed=23)
-    tracemalloc.start()
-    try:
-        w = sample_gse(300, seed=23)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak <= 2.01 * w.coeffs.nbytes
+    # The raw upper triangle (half a coefficient array) and the assembled
+    # array, scaled as it fills: about 1.5 coefficient arrays at n = 300.  A
+    # scaled copy of the triangle would add 0.5, a copy of the array 1.
+    w = sample_gse(300, seed=23)
+    assert traced_peak(lambda: sample_gse(300, seed=23)) <= 1.7 * w.coeffs.nbytes
     assert not w.coeffs.flags.writeable
 
 

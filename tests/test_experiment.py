@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from memtrace import traced_peak
 from quatspectra import ensemble, experiment, spectra
 from quatspectra.cli import main
 from quatspectra.ensemble import (EnsembleSpec, EtaSchedule, GSECoefficients,
@@ -332,6 +333,34 @@ def test_run_parallel_matches_serial(tmp_path):
     serial = run(config, jobs=1)
     parallel = run(config, jobs=2)
     assert [r.to_json() for r in serial] == [r.to_json() for r in parallel]
+
+
+@pytest.mark.parametrize("jobs", [0, -1, 2.5, 1.0, "2", math.nan, True, None])
+def test_run_rejects_a_job_count_that_is_not_a_positive_integer(tmp_path, jobs):
+    with pytest.raises(ConfigError, match="jobs must be an integer >= 1"):
+        run(small_config(tmp_path), jobs=jobs)
+
+
+def test_sweep_rows_do_not_depend_on_overwrite(tmp_path, monkeypatch):
+    # The checks read each draw before the eigensolve takes over its array;
+    # at check_tol 0 every residual is reported, so they must see it intact.
+    config = small_config(tmp_path, sizes=[spectra._QUAT_MIN], trials_per_size=1,
+                          checks=("resolvent_structure", "trace_minor"), check_tol=0.0)
+    rows = [r.to_json() for r in run(config)]
+    assert any(f.startswith("resolvent_structure") for f in rows[0]["check_failures"])
+    keep = SpectralSample.from_matrix
+    monkeypatch.setattr(SpectralSample, "from_matrix", lambda w, overwrite: keep(w))
+    assert json.dumps(rows) == json.dumps([r.to_json() for r in run(config)])
+
+
+def test_sweep_trial_peak_memory(tmp_path):
+    # Sampling (the raw triangle and the array), then the reduction in that
+    # array: about 1.6 coefficient arrays at n = 300, 2.2 with a working copy.
+    config = small_config(tmp_path, sizes=[300], trials_per_size=1)
+    draw = next(experiment._draws(config))
+    experiment._run_trial(config, None, draw)
+    peak = traced_peak(lambda: experiment._run_trial(config, None, draw))
+    assert peak <= 1.7 * 32 * 300 ** 2
 
 
 @pytest.mark.parametrize("error", [spectra.PairingError, spectra.NotHermitianError,

@@ -1,7 +1,6 @@
 import itertools
 import math
 import os
-import tracemalloc
 import warnings
 
 import numpy as np
@@ -27,6 +26,7 @@ from quatspectra.experiment import (ConfigError, ExperimentConfig,
                                     default_verify_config)
 from quatspectra.structure import classify
 
+from memtrace import traced_peak
 from oracles import (count_eigs_below, eigenvalues_by_bisection,
                      embed_by_complex_parts, hermitian_check_by_full_temporaries,
                      semicircle_cdf_by_quadrature,
@@ -273,13 +273,7 @@ def test_spectral_sample_peak_memory_is_one_embedding(monkeypatch):
     w = sample_gse(300, seed=21)
     monkeypatch.setattr(spectra, "_QUAT_MIN", w.n + 1)
     embedding_bytes = 16 * (2 * w.n) ** 2
-    tracemalloc.start()
-    try:
-        SpectralSample.from_matrix(w)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak <= 1.25 * embedding_bytes
+    assert traced_peak(lambda: SpectralSample.from_matrix(w)) <= 1.25 * embedding_bytes
 
 
 BOTH_DRIVERS = [200, 600]  # orders below and above _TWO_STAGE_MIN
@@ -473,13 +467,67 @@ def test_spectral_sample_without_a_symbol_uses_the_embedding(symbol, monkeypatch
 def test_spectral_sample_peak_memory_on_the_quaternion_path():
     # One working copy of the coefficients plus panels of O(n * _NB).
     w = sample_gse(400, seed=38)
-    tracemalloc.start()
-    try:
-        SpectralSample.from_matrix(w)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak <= 1.5 * w.coeffs.nbytes
+    assert traced_peak(lambda: SpectralSample.from_matrix(w)) <= 1.5 * w.coeffs.nbytes
+
+
+def _assert_overwrite_matches_default(draw):
+    """``from_matrix(draw(), overwrite=True)`` against the default on an equal draw:
+    the same bits, with the reduction done in the spent matrix's own array."""
+    w, spent = draw(), draw()
+    co = spent.coeffs
+    expected = SpectralSample.from_matrix(w)
+    got = SpectralSample.from_matrix(spent, overwrite=True)
+    assert got.eigenvalues_full.tobytes() == expected.eigenvalues_full.tobytes()
+    assert got.eigenvalues_dedup.tobytes() == expected.eigenvalues_dedup.tobytes()
+    assert got.pairing_residual == expected.pairing_residual == 0.0
+    assert spent.coeffs is None and not np.array_equal(co, w.coeffs)
+
+
+@needs_quaternion
+@pytest.mark.parametrize("n", [QUAT_MIN, 300, 800])
+@pytest.mark.parametrize("law", QUAT_LAWS, ids=lambda law: law.kind)
+def test_overwrite_gives_the_same_spectrum(law, n):
+    spec = EnsembleSpec(n=n, distribution=law, seed=n + 1)
+    _assert_overwrite_matches_default(lambda: sample_general(spec))
+
+
+@needs_quaternion
+def test_overwrite_gives_the_same_spectrum_on_a_pipelined_draw():
+    spec = EnsembleSpec(n=QUAT_MIN, distribution=TwoPointCoefficients(-3.0, 1.0, 0.75),
+                        seed=39, eta=EtaSchedule("constant", 0.05))
+    assert run_pipeline(spec, keep_matrices=False)[1].stages[0].truncated_count > 0
+    _assert_overwrite_matches_default(lambda: run_pipeline(spec, keep_matrices=False)[0])
+
+
+@pytest.mark.parametrize("n", [QUAT_MIN - 1, QUAT_MIN])
+def test_spectral_sample_leaves_the_matrix_alone_by_default(n):
+    w = sample_gse(n, seed=40)
+    before = w.coeffs.copy()
+    SpectralSample.from_matrix(w)
+    assert w.coeffs.tobytes() == before.tobytes() and not w.coeffs.flags.writeable
+
+
+@pytest.mark.parametrize("n", [QUAT_MIN - 1, QUAT_MIN])
+def test_overwrite_spends_the_matrix(n):
+    # On either route: the spent matrix fails loudly wherever it is used.
+    w = sample_gse(n, seed=41)
+    SpectralSample.from_matrix(w, overwrite=True)
+    assert w.coeffs is None
+    for use in (lambda: w.n, w.check, lambda: embed(w), lambda: SpectralSample.from_matrix(w),
+                lambda: resolvent_structure_check(w, 1j)):
+        with pytest.raises(AttributeError):
+            use()
+
+
+@pytest.mark.parametrize("change", [1e-6, 1.0])
+@pytest.mark.parametrize("n", [QUAT_MIN - 1, QUAT_MIN])
+def test_overwrite_leaves_a_rejected_matrix_intact(n, change):
+    co = sample_gse(n, seed=42).coeffs.copy()
+    co[n - 1, 0, 1] += change  # no longer self-dual
+    w = SelfDualMatrix(co, 1.0)
+    with pytest.raises(NotHermitianError, match="Hermitian residual"):
+        SpectralSample.from_matrix(w, overwrite=True)
+    assert w.coeffs.tobytes() == co.tobytes() and not w.coeffs.flags.writeable
 
 
 def test_trace_identity_zero_diagonal():
@@ -627,6 +675,13 @@ def test_empirical_stieltjes_domain():
     for bad in (math.nan, math.inf):
         with pytest.raises(ValueError, match="finite"):
             empirical_stieltjes(np.array([bad, 1.0]), 1j)
+
+
+def test_empirical_stieltjes_rejects_an_empty_spectrum():
+    # np.mean of nothing would give nan+nanj after two RuntimeWarnings.
+    for empty in (np.array([]), []):
+        with pytest.raises(ValueError, match="eigenvalues must be nonempty"):
+            empirical_stieltjes(empty, 1j)
 
 
 def test_shifted_transform_magnitude_lower_bound():
@@ -905,6 +960,13 @@ def test_histogram_csv_rejects_non_finite(tmp_path, bad):
     path = tmp_path / "hist.csv"
     with pytest.raises(ValueError):
         histogram_csv([bad, 1.0, 0.5], path)
+    assert not path.exists()
+
+
+def test_histogram_csv_rejects_empty_input(tmp_path):
+    path = tmp_path / "hist.csv"
+    with pytest.raises(ValueError, match="histogram values must be nonempty"):
+        histogram_csv([], path)
     assert not path.exists()
 
 
