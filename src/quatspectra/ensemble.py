@@ -93,6 +93,10 @@ class Distribution:
     def sample_diag(self, rng: np.random.Generator, size: int) -> np.ndarray:
         raise NotImplementedError
 
+    def _fill_coeffs(self, rng: np.random.Generator, out: np.ndarray) -> None:
+        """Write ``sample_coeffs(rng, len(out))`` into ``out``, from the same stream."""
+        out[...] = self.sample_coeffs(rng, len(out))
+
     def validate(self) -> None:
         return None
 
@@ -128,6 +132,10 @@ class GSECoefficients(Distribution):
     def sample_coeffs(self, rng, size):
         return 0.5 * rng.standard_normal((size, 4))
 
+    def _fill_coeffs(self, rng, out):
+        rng.standard_normal(out=out)  # in place: no draw-sized temporary
+        out *= 0.5
+
     def sample_diag(self, rng, size):
         return rng.standard_normal(size)
 
@@ -156,6 +164,11 @@ class RademacherCoefficients(Distribution):
 
     def sample_coeffs(self, rng, size):
         return 0.5 * rng.choice([-1.0, 1.0], size=(size, 4))
+
+    def _fill_coeffs(self, rng, out):
+        # the indices choice([-1.0, 1.0]) draws; 0 gives -0.5 and 1 gives 0.5
+        out[...] = rng.integers(0, 2, size=out.shape)
+        out -= 0.5
 
     def sample_diag(self, rng, size):
         return rng.choice([-1.0, 1.0], size=size)
@@ -236,6 +249,13 @@ class TwoPointCoefficients(Distribution):
     def sample_coeffs(self, rng, size):
         return rng.choice(self._values(), size=(size, 4), p=self._probs())
 
+    def _fill_coeffs(self, rng, out):
+        # choice(p=...) draws one uniform per entry and takes hi from P(lo) up
+        cdf = self._probs().cumsum()
+        hi = rng.random(out=out) >= cdf[0] / cdf[-1]
+        out[...] = self._values()[0]
+        out[hi] = self._values()[1]
+
     def sample_diag(self, rng, size):
         return 2.0 * rng.choice(self._values(), size=size, p=self._probs())
 
@@ -294,9 +314,7 @@ class UserCoefficients(Distribution):
         if self._scale is not None:
             return
         rng = np.random.default_rng(np.random.SeedSequence((0, _MOMENT_TAG)))
-        draws = np.asarray(self.sampler(rng, 100_000), dtype=float)
-        if draws.shape != (100_000, 4):
-            raise SpecError(f"user sampler returned shape {draws.shape}, expected (N, 4)")
+        draws = self._draw(rng, 100_000)
         m2 = float((draws**2).sum(axis=1).mean())
         if m2 <= 0 or not math.isfinite(m2):
             raise SpecError("user law cannot be variance-normalized")
@@ -306,12 +324,18 @@ class UserCoefficients(Distribution):
             raise SpecError(f"user law has nonzero coefficient mean {mean}")
         self._scale = 1.0 / math.sqrt(m2)
 
+    def _draw(self, rng, size):
+        draws = np.asarray(self.sampler(rng, size), dtype=float)
+        if draws.shape != (size, 4):
+            raise SpecError(f"user sampler returned shape {draws.shape}, expected ({size}, 4)")
+        return draws
+
     def validate(self):
         self._calibrate()
 
     def sample_coeffs(self, rng, size):
         self._calibrate()
-        return self._scale * np.asarray(self.sampler(rng, size), dtype=float)
+        return self._scale * self._draw(rng, size)
 
     def sample_diag(self, rng, size):
         return 2.0 * self.sample_coeffs(rng, size)[:, 0]
@@ -457,7 +481,9 @@ class SelfDualMatrix:
         if self.coeffs.ndim != 3 or self.coeffs.shape[2] != 4 \
                 or self.coeffs.shape[0] != self.coeffs.shape[1]:
             raise ValueError(f"expected (n, n, 4) coefficients, got {self.coeffs.shape}")
-        if not np.isfinite(self.coeffs).all():
+        # min and max are NaN if any entry is: no full-size bool temporary
+        if self.coeffs.size and not (math.isfinite(self.coeffs.min())
+                                     and math.isfinite(self.coeffs.max())):
             raise ValueError("matrix entries must be finite")
         self.coeffs.setflags(write=False)
 
@@ -495,16 +521,22 @@ class SelfDualMatrix:
                     raise ValueError("matrix is not self-dual: entry(k,j) != conj(entry(j,k))")
 
 
-def _assemble(n: int, off: np.ndarray, diag: np.ndarray, scale: float) -> np.ndarray:
-    """Full (n, n, 4) coefficient array from row-major upper-triangle and diagonal
-    draws, times ``scale``: the same bits as from scaled draws (mirror signs are +-1)."""
-    co = np.zeros((n, n, 4))
-    signs = _CONJ_SIGNS * scale
+def _assemble(co: np.ndarray, diag: np.ndarray, scale: float) -> np.ndarray:
+    """Assemble ``co`` in place, times ``scale``, from the row-major upper-triangle
+    draws in its tail (its last n(n-1)/2 entries) and the diagonal draws ``diag``:
+    the same bits as from scaled draws (mirror signs are +-1)."""
+    n = co.shape[0]
+    flat = co.reshape(n * n, 4)
+    src = n * (n + 1) // 2
     for j in range(n - 1):
-        row = off[j * (2 * n - j - 1) // 2:][:n - 1 - j]  # row j starts after j shorter rows
-        np.multiply(row, scale, out=co[j, j + 1:])
-        np.multiply(row, signs, out=co[j + 1:, j])
-    co[np.arange(n), np.arange(n), 0] = diag * scale
+        # row j lands (n+j)(n-j-1)/2 entries before its draws: none unread is overwritten
+        np.multiply(flat[src:src + n - 1 - j], scale, out=co[j, j + 1:])
+        src += n - 1 - j
+    diagonal = flat[::n + 1]
+    diagonal[:, 1:] = 0.0
+    np.multiply(diag, scale, out=diagonal[:, 0])
+    for j in range(n - 1):
+        np.multiply(co[j, j + 1:], _CONJ_SIGNS, out=co[j + 1:, j])
     return co
 
 
@@ -513,16 +545,18 @@ def sample_general(spec: EnsembleSpec) -> SelfDualMatrix:
 
     The upper triangle is drawn first (row-major order), then the diagonal,
     from ``default_rng(spec.seed)``, so a given spec always produces the
-    identical matrix.
+    identical matrix.  The triangle is drawn into the tail of the matrix's own
+    array and assembled there.
     """
     spec.validate()
     rng = np.random.default_rng(spec.seed)
     n = spec.n
-    m = n * (n - 1) // 2
-    off = spec.distribution.sample_coeffs(rng, m) if m else np.zeros((0, 4))
+    co = np.zeros((n, n, 4))
+    if n > 1:
+        spec.distribution._fill_coeffs(rng, co.reshape(n * n, 4)[n * (n + 1) // 2:])
     diag = spec.distribution.sample_diag(rng, n)
     scale = 1.0 / math.sqrt(n)
-    return SelfDualMatrix._owning(_assemble(n, off, diag, scale), scale)
+    return SelfDualMatrix._owning(_assemble(co, diag, scale), scale)
 
 
 def sample_gse(n: int, seed: int) -> SelfDualMatrix:
@@ -731,22 +765,21 @@ def rescale(w: SelfDualMatrix, sigma_sq: float, seed: int):
     if not math.isfinite(sigma_sq):
         raise SpecError(f"sigma_sq must be finite, got {sigma_sq}")
     n = w.n
-    coeffs = w.coeffs.copy()
     idx = np.arange(n)
     replacements = 0
     if sigma_sq >= 0.5:
         sigma = math.sqrt(sigma_sq)
+        coeffs = w.coeffs.copy()
         diag_saved = coeffs[idx, idx].copy()
         coeffs /= sigma
         coeffs[idx, idx] = diag_saved
     else:
         rng = np.random.default_rng(np.random.SeedSequence((seed, _RESCALE_TAG)))
         m = n * (n - 1) // 2
-        off = np.zeros((m, 4))
-        off[:, 0] = rng.choice([-1.0, 1.0], size=m)
-        diag_saved = coeffs[idx, idx].copy()
-        coeffs = _assemble(n, off, np.zeros(n), w.scale)
-        coeffs[idx, idx] = diag_saved
+        coeffs = np.zeros((n, n, 4))  # the signs go to its tail, as sample_general's draws
+        coeffs.reshape(n * n, 4)[n * (n + 1) // 2:, 0] = rng.choice([-1.0, 1.0], size=m)
+        _assemble(coeffs, np.zeros(n), w.scale)
+        coeffs[idx, idx] = w.coeffs[idx, idx]
         replacements = m
         sigma = 1.0
 

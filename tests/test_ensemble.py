@@ -38,6 +38,15 @@ def gse_spec(n, seed, **kw):
     return EnsembleSpec(n=n, distribution=GSECoefficients(), seed=seed, **kw)
 
 
+def uniform_user_law():
+    return UserCoefficients(lambda rng, size: rng.uniform(-1.0, 1.0, size=(size, 4)))
+
+
+# The four JSON laws and a user law, shared so the user law calibrates once.
+_LAWS = [GSECoefficients(), RademacherCoefficients(), UniformCoefficients(),
+         TwoPointCoefficients(-1.0, 3.0, 0.25), uniform_user_law()]
+
+
 # ---------------------------------------------------------------------------
 # sampling
 # ---------------------------------------------------------------------------
@@ -68,15 +77,19 @@ def test_sampling_is_deterministic():
     assert np.array_equal(a.coeffs, c.coeffs)
 
 
+def _assembled(n, off, diag, scale):
+    """``_assemble`` on an array holding the draws ``off`` in its tail."""
+    co = np.zeros((n, n, 4))
+    co.reshape(n * n, 4)[n * (n + 1) // 2:] = off
+    return ensemble._assemble(co, diag, scale)
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 255, 256, 257, 515])
-@pytest.mark.parametrize("law", [GSECoefficients(), RademacherCoefficients(),
-                                 UniformCoefficients(),
-                                 TwoPointCoefficients(-1.0, 3.0, 0.25)],
-                         ids=lambda law: law.kind)
+@pytest.mark.parametrize("law", _LAWS, ids=lambda law: law.kind)
 def test_assembly_matches_fancy_indexing_oracle(law, n):
-    # Same bits, signed zeros included: _assemble scales as it fills, by
-    # scale and by the mirror signs times scale; one oracle scales the draws
-    # first, the other the assembled array.
+    # Same bits, signed zeros included: _assemble moves each row of draws,
+    # scaled, out of the array's tail and mirrors it with the +-1 signs; one
+    # oracle scales the draws first, the other the assembled array.
     w = sample_general(EnsembleSpec(n=n, distribution=law, seed=n))
     rng = np.random.default_rng(n)
     m = n * (n - 1) // 2
@@ -89,8 +102,39 @@ def test_assembly_matches_fancy_indexing_oracle(law, n):
     off[::3] = 0.0  # the variance-floor replacement assembles exact zeros
     off[1::3, 1:] = -0.0
     for s in (scale, 1.0):
-        assert np.array_equal(ensemble._assemble(n, off, diag, s).view(np.uint64),
+        assert np.array_equal(_assembled(n, off, diag, s).view(np.uint64),
                               assemble_scaled_first(n, off, diag, s).view(np.uint64))
+
+
+@pytest.mark.parametrize("size", [0, 1, 7, 1000])
+@pytest.mark.parametrize("law", _LAWS + [TwoPointCoefficients(-1.0, 1.0, 0.5),
+                                         spiky_two_point()],
+                         ids=lambda law: law.kind)
+def test_fill_coeffs_matches_sample_coeffs(law, size):
+    # The in-place draw gives the same bits and leaves the stream where the
+    # allocating one does, so sampling into the matrix's own array changes nothing.
+    ref, rng = np.random.default_rng(size), np.random.default_rng(size)
+    want = law.sample_coeffs(ref, size)
+    out = np.full((size, 4), np.nan)
+    law._fill_coeffs(rng, out)
+    assert np.array_equal(out.view(np.uint64), want.view(np.uint64))
+    assert rng.bit_generator.state == ref.bit_generator.state
+
+
+@pytest.mark.parametrize("result", [
+    lambda size: np.zeros(4 * size),          # flat
+    lambda size: np.zeros((size + 1, 4)),     # extra rows
+    lambda size: np.zeros((1, 4)),            # would broadcast into the array
+    lambda size: np.zeros((size, 3)),
+], ids=["flat", "extra-rows", "one-row", "three-columns"])
+def test_user_sampler_of_the_wrong_shape_is_a_spec_error(result):
+    # Right for the calibration draw, wrong for the matrix's own draws.
+    law = UserCoefficients(lambda rng, size: rng.uniform(-1.0, 1.0, size=(size, 4))
+                           if size == 100_000 else result(size))
+    for fn in (lambda: law.sample_coeffs(np.random.default_rng(0), 6),
+               lambda: sample_general(EnsembleSpec(n=4, distribution=law, seed=0))):
+        with pytest.raises(SpecError, match=r"user sampler returned shape .*, expected \(6, 4\)"):
+            fn()
 
 
 def test_self_dual_invariants_hold():
@@ -166,6 +210,17 @@ def test_self_dual_check_needs_no_full_size_temporary():
     assert traced_peak(w.check) < 0.25 * w.coeffs.nbytes
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("where", [(0, 0, 0), (-1, -1, -1), (0, -1, 2)],
+                         ids=["first", "last", "corner"])
+def test_matrix_rejects_a_non_finite_entry(bad, where):
+    co = sample_gse(5, seed=1).coeffs.copy()
+    co[where] = bad
+    with pytest.raises(ValueError, match="matrix entries must be finite"):
+        SelfDualMatrix(co, 1.0)
+    assert SelfDualMatrix(np.zeros((0, 0, 4)), 1.0).n == 0
+
+
 def test_matrix_leaves_the_callers_array_writeable():
     co = np.zeros((2, 2, 4))
     w = SelfDualMatrix(co, 1.0)
@@ -181,12 +236,19 @@ def test_matrix_coefficients_do_not_change_through_a_view():
 
 
 def test_sample_general_hands_its_array_over_without_a_copy():
-    # The raw upper triangle (half a coefficient array) and the assembled
-    # array, scaled as it fills: about 1.5 coefficient arrays at n = 300.  A
-    # scaled copy of the triangle would add 0.5, a copy of the array 1.
-    w = sample_gse(300, seed=23)
-    assert traced_peak(lambda: sample_gse(300, seed=23)) <= 1.7 * w.coeffs.nbytes
-    assert not w.coeffs.flags.writeable
+    # GSE draws go straight into the tail of the matrix's own array and are
+    # assembled there: one coefficient array and the diagonal.  A separate
+    # triangle would add 0.5 coefficient arrays, a copy of the array 1.
+    for n in (300, 400, 800):
+        w = sample_gse(n, seed=23)
+        assert traced_peak(lambda: sample_gse(n, seed=23)) <= 1.02 * w.coeffs.nbytes
+        assert not w.coeffs.flags.writeable
+    # The other laws hold at most half an array beside it while they sample:
+    # 1.5 arrays for Rademacher, uniform and user, 1.06 for two-point.
+    for law in _LAWS[1:]:
+        spec = EnsembleSpec(n=300, distribution=law, seed=23)
+        sample_general(spec)  # the user law calibrates on first use
+        assert traced_peak(lambda: sample_general(spec)) <= 1.55 * 32 * 300 ** 2
 
 
 def test_entry_accessor_is_one_based_conjugate_mirror():
