@@ -88,13 +88,16 @@ class Distribution:
     kind = "base"
 
     def sample_coeffs(self, rng: np.random.Generator, size: int) -> np.ndarray:
-        raise NotImplementedError
+        out = np.empty((size, 4))
+        self._fill_coeffs(rng, out)
+        return out
 
     def sample_diag(self, rng: np.random.Generator, size: int) -> np.ndarray:
         raise NotImplementedError
 
     def _fill_coeffs(self, rng: np.random.Generator, out: np.ndarray) -> None:
-        """Write ``sample_coeffs(rng, len(out))`` into ``out``, from the same stream."""
+        """Draw ``len(out)`` coefficient vectors into ``out``.  A subclass defines
+        this or ``sample_coeffs``; each default calls the other."""
         out[...] = self.sample_coeffs(rng, len(out))
 
     def validate(self) -> None:
@@ -129,9 +132,6 @@ class GSECoefficients(Distribution):
 
     kind = "gse"
 
-    def sample_coeffs(self, rng, size):
-        return 0.5 * rng.standard_normal((size, 4))
-
     def _fill_coeffs(self, rng, out):
         rng.standard_normal(out=out)  # in place: no draw-sized temporary
         out *= 0.5
@@ -162,11 +162,8 @@ class RademacherCoefficients(Distribution):
 
     kind = "rademacher"
 
-    def sample_coeffs(self, rng, size):
-        return 0.5 * rng.choice([-1.0, 1.0], size=(size, 4))
-
     def _fill_coeffs(self, rng, out):
-        # the indices choice([-1.0, 1.0]) draws; 0 gives -0.5 and 1 gives 0.5
+        # the int64 indices choice([-1.0, 1.0]) draws: its stream, 0 -> -0.5, 1 -> 0.5
         out[...] = rng.integers(0, 2, size=out.shape)
         out -= 0.5
 
@@ -246,11 +243,8 @@ class TwoPointCoefficients(Distribution):
     def _probs(self):
         return np.array([1.0 - self.p, self.p])
 
-    def sample_coeffs(self, rng, size):
-        return rng.choice(self._values(), size=(size, 4), p=self._probs())
-
     def _fill_coeffs(self, rng, out):
-        # choice(p=...) draws one uniform per entry and takes hi from P(lo) up
+        # choice(p=...)'s stream: one uniform per entry, hi from the normalized P(lo) up
         cdf = self._probs().cumsum()
         hi = rng.random(out=out) >= cdf[0] / cdf[-1]
         out[...] = self._values()[0]

@@ -111,14 +111,36 @@ def test_assembly_matches_fancy_indexing_oracle(law, n):
                                          spiky_two_point()],
                          ids=lambda law: law.kind)
 def test_fill_coeffs_matches_sample_coeffs(law, size):
-    # The in-place draw gives the same bits and leaves the stream where the
-    # allocating one does, so sampling into the matrix's own array changes nothing.
+    # Each law defines one of the two draws and inherits the other: both give
+    # the same bits and leave the stream in the same place.
     ref, rng = np.random.default_rng(size), np.random.default_rng(size)
     want = law.sample_coeffs(ref, size)
     out = np.full((size, 4), np.nan)
     law._fill_coeffs(rng, out)
     assert np.array_equal(out.view(np.uint64), want.view(np.uint64))
     assert rng.bit_generator.state == ref.bit_generator.state
+
+
+def test_coefficient_draws_keep_their_stream():
+    # Frozen from the rng.choice / standard_normal draws these laws first
+    # used: the same values and the same next uniform, so sampling and the
+    # benchmark's reference sweeps stay reproducible.
+    rng = np.random.default_rng(7)
+    assert GSECoefficients().sample_coeffs(rng, 4)[0].tolist() == [
+        0.0006150766787412871, 0.14937276875423494,
+        -0.1370689276811088, -0.4452959193786371]
+    assert rng.random() == 0.9955002834343927
+    rng = np.random.default_rng(7)
+    assert (RademacherCoefficients().sample_coeffs(rng, 4).ravel() > 0).tolist() == [
+        1, 1, 1, 1, 1, 1, 1, 0, 0, 0, 0, 1, 1, 0, 0, 1]
+    assert rng.random() == 0.7970694287520462
+    for law in (TwoPointCoefficients(-1.0, 3.0, 0.25), spiky_two_point(p=0.3)):
+        rng = np.random.default_rng(7)
+        draws = law.sample_coeffs(rng, 4).ravel()
+        assert set(draws) == set(law._values())
+        assert (draws == law._values()[1]).tolist() == [
+            0, 1, 1, 0, 0, 1, 0, 1, 1, 0, 0, 0, 0, 0, 0, 0]
+        assert rng.random() == 0.9955002834343927
 
 
 @pytest.mark.parametrize("result", [
