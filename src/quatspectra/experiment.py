@@ -29,8 +29,8 @@ from . import spectra
 from .ensemble import (EnsembleSpec, SelfDualMatrix, _is_int, _is_real,
                        run_pipeline, sample_general)
 from .spectra import (ESD, SpectralSample, empirical_stieltjes, histogram_csv,
-                      kolmogorov_distance, levy_distance, resolvent_structure_check,
-                      semicircle_cdf, semicircle_stieltjes, trace_minor_check)
+                      kolmogorov_distance, levy_distance, semicircle_cdf,
+                      semicircle_stieltjes)
 from .structure import verify_type2_inverse
 
 __all__ = [
@@ -186,8 +186,12 @@ class ExperimentConfig:
 
     @classmethod
     def load(cls, path) -> "ExperimentConfig":
-        with open(path) as fh:
-            return cls.from_json(json.load(fh))
+        try:
+            with open(path, encoding="utf-8") as fh:
+                obj = json.load(fh)
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+            raise ConfigError(f"{path} is not a UTF-8 JSON file: {exc}") from exc
+        return cls.from_json(obj)
 
 
 @dataclass
@@ -230,18 +234,39 @@ def _resolvent_checks(w: SelfDualMatrix, config: ExperimentConfig, names):
 
     Yields ``(name, z, passed, value, failure)``: ``value`` is the Type-I
     residual or the largest trace-minor difference over its bound, and
-    ``failure`` holds the fields a failure report carries.
+    ``failure`` holds the fields a failure report carries.  Both checks read
+    one resolvent per point; every structure result comes first, in z order,
+    so the trace-minor outcomes (or the error one raised) wait for them.
     """
-    if "resolvent_structure" in names:
-        for z in config.z_grid:
-            report = resolvent_structure_check(w, z, config.check_tol)
+    structure, minor = "resolvent_structure" in names, "trace_minor" in names
+    deferred = []  # trace-minor outcomes, or the error that ends them
+    for z in config.z_grid if structure or minor else ():
+        R = spectra.resolvent(spectra.embed(w), z)
+        if structure:
+            report = spectra._structure_report(R, z, config.check_tol)
             yield ("resolvent_structure", z, report.passed, report.max_residual,
                    {"residual": report.max_residual})
-    if "trace_minor" in names:
-        for z in config.z_grid:
-            report = trace_minor_check(w, z)
-            yield ("trace_minor", z, report.passed, report.max_difference / report.bound,
-                   {"max_difference": report.max_difference, "bound": report.bound})
+        if minor:
+            try:
+                report = spectra._trace_minor_report(R, z)
+            except Exception as exc:
+                if not structure:
+                    raise
+                deferred.append(exc)
+                minor = False
+            else:
+                outcome = ("trace_minor", z, report.passed,
+                           report.max_difference / report.bound,
+                           {"max_difference": report.max_difference, "bound": report.bound})
+                if structure:
+                    deferred.append(outcome)
+                else:
+                    yield outcome
+        del R  # not held while the next point's resolvent is solved
+    for outcome in deferred:
+        if isinstance(outcome, Exception):
+            raise outcome
+        yield outcome
 
 
 def _run_trial(config: ExperimentConfig, hist_dir, draw) -> ConvergenceRow:
@@ -404,7 +429,10 @@ def check_pipeline_bounds(spec: EnsembleSpec, w: Optional[SelfDualMatrix] = None
     bound.
     """
     _, trace = run_pipeline(spec, w, keep_matrices=True)
-    esds = [ESD(SpectralSample.from_matrix(m).eigenvalues_full) for _, m in trace.matrices]
+    esds = []
+    for i, (_, m) in enumerate(trace.matrices):  # a stage that changed nothing keeps its ESD
+        same = i and np.array_equal(m.coeffs, trace.matrices[i - 1][1].coeffs)
+        esds.append(esds[-1] if same else ESD(SpectralSample.from_matrix(m).eigenvalues_full))
     outcomes = []
     for record, prev, cur in zip(trace.stages, esds, esds[1:]):
         entry = {"stage": record.name}

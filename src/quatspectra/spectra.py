@@ -577,11 +577,15 @@ def resolvent_structure_check(w: SelfDualMatrix, z: complex,
     Failures are reported, not raised.
     """
     z = _upper_half_plane(z)
-    report: StructureReport = classify(resolvent(embed(w), z), tol)
-    passed = report.passes("TypeI")
+    return _structure_report(resolvent(embed(w), z), z, tol)
+
+
+def _structure_report(R: BlockMatrix, z: complex, tol: float) -> ResolventStructureReport:
+    """The report of :func:`resolvent_structure_check` from the resolvent ``R`` at ``z``."""
+    report: StructureReport = classify(R, tol)
     return ResolventStructureReport(
         z=z,
-        passed=passed,
+        passed=report.passes("TypeI"),
         classification=report.classification,
         passing=report.passing,
         max_residual=report.residuals["TypeI"],
@@ -610,9 +614,13 @@ def trace_minor_check(w: SelfDualMatrix, z: complex) -> TraceMinorReport:
     ``tr R - tr R_k = tr((R_KK)^{-1} (R^2)_KK)``.
     """
     z = _upper_half_plane(z)
-    n = w.n
-    R = resolvent(embed(w), z)
+    return _trace_minor_report(resolvent(embed(w), z), z)
+
+
+def _trace_minor_report(R: BlockMatrix, z: complex) -> TraceMinorReport:
+    """The report of :func:`trace_minor_check` from the resolvent ``R`` at ``z``."""
     r = R.values
+    n = r.shape[0] // 2
     # (R^2)_KK for every k: row pair k of R times column pair k of R
     r2_diag = np.einsum("kai,kbi->kab", r.reshape(n, 2, 2 * n), r.T.reshape(n, 2, 2 * n))
     r_diag = R.blocks[np.arange(n), np.arange(n)]

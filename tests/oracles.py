@@ -8,8 +8,12 @@ one exception is ``type2_inverse_by_loop``, the reference for how
 ``verify_type2_inverse`` batches its trials: it reuses ``make_type2`` and
 ``classify`` one trial at a time, so the two must agree to the bit.  The
 whole-array forms of ``embed``, the coefficient assembly, the Hermitian
-input check and the self-dual check at the end are the references for their
-temporary-free versions, which must agree with them exactly.
+input check and the self-dual check are the references for their
+temporary-free versions, which must agree with them exactly.  The
+verification suite's reuse of work has its references at the end: the
+resolvent checks one public call at a time, the pipeline bounds with every
+stage spectrum solved, and the condition test by SVD alone; each must agree
+with the shared version to the bit.
 """
 
 import itertools
@@ -19,7 +23,7 @@ import numpy as np
 from scipy.integrate import quad
 from scipy.linalg import ldl
 
-from quatspectra import structure
+from quatspectra import spectra, structure
 
 
 def count_eigs_below(a: np.ndarray, t: float) -> int:
@@ -263,3 +267,47 @@ def self_dual_check_by_whole_arrays(coeffs: np.ndarray):
     if not np.all(np.abs(diag[:, 1:]) <= 0.0):
         return "diagonal entries are not real quaternions"
     return None
+
+
+def resolvent_checks_by_public_calls(w, config, names):
+    """``experiment._resolvent_checks`` with one public check call, and so one
+    resolvent, per check and grid point: every structure result in z order,
+    then every trace-minor result."""
+    if "resolvent_structure" in names:
+        for z in config.z_grid:
+            report = spectra.resolvent_structure_check(w, z, config.check_tol)
+            yield ("resolvent_structure", z, report.passed, report.max_residual,
+                   {"residual": report.max_residual})
+    if "trace_minor" in names:
+        for z in config.z_grid:
+            report = spectra.trace_minor_check(w, z)
+            yield ("trace_minor", z, report.passed, report.max_difference / report.bound,
+                   {"max_difference": report.max_difference, "bound": report.bound})
+
+
+def pipeline_bounds_with_every_spectrum(spec, w=None):
+    """``experiment.check_pipeline_bounds`` solving all five stage spectra."""
+    from quatspectra.ensemble import run_pipeline
+    _, trace = run_pipeline(spec, w, keep_matrices=True)
+    esds = [spectra.ESD(spectra.SpectralSample.from_matrix(m).eigenvalues_full)
+            for _, m in trace.matrices]
+    outcomes = []
+    for record, prev, cur in zip(trace.stages, esds, esds[1:]):
+        dist = spectra.levy_distance(prev, cur)
+        entry = {"stage": record.name, "levy": dist,
+                 "levy_cube_bound": record.levy_cube_bound,
+                 "levy_ok": dist**3 <= record.levy_cube_bound + 4 * spectra._LEVY_TOL}
+        if record.name == "truncate":
+            sup = spectra._ks_two_esds(prev, cur)
+            entry.update(sup_distance=sup, rank_bound=record.rank_bound,
+                         rank_ok=sup <= record.rank_bound + 1e-9)
+        outcomes.append(entry)
+    return outcomes
+
+
+def invert_by_svd_test(stack: np.ndarray):
+    """Which matrices of a stack have ``cond_2`` below ``structure._COND_LIMIT``
+    (by SVD alone), and their inverses, one ``np.linalg.inv`` call per matrix."""
+    well = structure._well_conditioned(stack)
+    inverses = [np.linalg.inv(a) if ok else None for a, ok in zip(stack, well)]
+    return well, inverses

@@ -15,11 +15,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from memtrace import traced_peak
+from oracles import (pipeline_bounds_with_every_spectrum,
+                     resolvent_checks_by_public_calls)
 from quatspectra import ensemble, experiment, spectra
 from quatspectra.cli import main
 from quatspectra.ensemble import (EnsembleSpec, EtaSchedule, GSECoefficients,
-                                  SpecError, UserCoefficients,
-                                  distribution_from_json, sample_general)
+                                  SpecError, TwoPointCoefficients, UserCoefficients,
+                                  distribution_from_json, run_pipeline,
+                                  sample_general)
 from quatspectra.experiment import (KNOWN_CHECKS, ConfigError,
                                     ExperimentConfig, default_verify_config,
                                     emit, run, stieltjes_label, trial_seed,
@@ -632,6 +635,107 @@ def test_verify_records_a_failing_bound_entry_under_both_checks(monkeypatch):
     ]
 
 
+_RESOLVENT_CHECKS = ("resolvent_structure", "trace_minor")
+
+
+@pytest.mark.parametrize("names", [_RESOLVENT_CHECKS[:1], _RESOLVENT_CHECKS[1:],
+                                   _RESOLVENT_CHECKS, _RESOLVENT_CHECKS[::-1]])
+def test_resolvent_checks_match_the_public_checks(tmp_path, names):
+    # One resolvent per grid point serves both checks; the results are the
+    # public checks' to the bit, every structure result first.
+    config = small_config(tmp_path, z_grid=[1j, 1 + 1j, -0.5 + 0.25j], check_tol=1e-14)
+    w = sample_general(replace(config.ensemble, n=6))
+    want = list(resolvent_checks_by_public_calls(w, config, names))
+    assert len(want) == 3 * len(names)
+    assert list(experiment._resolvent_checks(w, config, names)) == want
+
+
+def test_verify_and_sweep_match_the_public_resolvent_checks(tmp_path, monkeypatch):
+    # At check_tol 0 every structure check fails, so the reports carry values.
+    verify_config = small_config(tmp_path, checks=_RESOLVENT_CHECKS, check_tol=0.0)
+    sweep_config = small_config(tmp_path, pipeline=True, checks=_RESOLVENT_CHECKS,
+                                check_tol=0.0)
+    got = [verify(verify_config).to_json(), [r.to_json() for r in run(sweep_config)]]
+    assert got[0]["checks"][0]["details"]["failures"]
+    monkeypatch.setattr(experiment, "_resolvent_checks", resolvent_checks_by_public_calls)
+    want = [verify(verify_config).to_json(), [r.to_json() for r in run(sweep_config)]]
+    assert json.dumps(got) == json.dumps(want)
+
+
+@pytest.mark.parametrize("names, failing, recorded", [
+    (_RESOLVENT_CHECKS, "_trace_minor_report",
+     ["resolvent_structure z=1j", "resolvent_structure z=(1+1j)",
+      "resolvent_structure z=2j", "trace_minor z=1j"]),
+    (_RESOLVENT_CHECKS, "_structure_report", ["resolvent_structure z=1j"]),
+    (("trace_minor",), "_trace_minor_report", ["trace_minor z=1j"]),
+])
+def test_a_check_error_keeps_the_failures_before_it(tmp_path, monkeypatch, names,
+                                                    failing, recorded):
+    # Every check fails at z = 1j and raises at z = 1 + 1j: a sweep row keeps
+    # the failures recorded before the error, as with one public call each.
+    config = small_config(tmp_path, sizes=[4], trials_per_size=1,
+                          z_grid=[1j, 1 + 1j, 2j], checks=names, check_tol=0.0)
+    real = getattr(spectra, failing)
+
+    def injected(R, z, *args):
+        if z == 1 + 1j:
+            raise np.linalg.LinAlgError("injected failure")
+        return replace(real(R, z, *args), passed=False)
+
+    monkeypatch.setattr(spectra, failing, injected)
+    (row,) = run(config)
+    assert [f.split(":")[0] for f in row.check_failures] == [*recorded, "check error"]
+    assert row.check_failures[-1] == "check error: injected failure"
+    monkeypatch.setattr(experiment, "_resolvent_checks", resolvent_checks_by_public_calls)
+    assert run(config)[0].check_failures == row.check_failures
+
+
+def count_spectra(monkeypatch):
+    """Count ``SpectralSample.from_matrix`` calls."""
+    calls = []
+    real = SpectralSample.from_matrix
+
+    def counting(w, **kwargs):
+        calls.append(w.n)
+        return real(w, **kwargs)
+
+    monkeypatch.setattr(SpectralSample, "from_matrix", counting)
+    return calls
+
+
+@pytest.mark.parametrize("law, exponent, solved", [
+    (GSECoefficients(), 0.125, 3), (TwoPointCoefficients(-1.0, 9.0, 0.1), 0.35, 5)])
+def test_pipeline_bounds_match_every_stage_spectrum(monkeypatch, law, exponent, solved):
+    # GSE: truncate, centralize and rescale leave an n = 48 draw as it was,
+    # and their ESD is reused; the two-point law changes it at every stage.
+    spec = EnsembleSpec(n=48, distribution=law, seed=3, eta=EtaSchedule("power", exponent))
+    w = sample_general(spec)
+    want = pipeline_bounds_with_every_spectrum(spec, w)
+    calls = count_spectra(monkeypatch)
+    assert experiment.check_pipeline_bounds(spec, w) == want
+    assert len(calls) == solved
+
+
+def test_verify_solves_each_resolvent_and_stage_spectrum_once(monkeypatch):
+    config = default_verify_config(seed=0)
+    config.checks = KNOWN_CHECKS[1:]  # every per-draw check
+    draws = [spec for _, spec in experiment._draws(config)]
+    distinct = 0
+    for spec in draws:
+        matrices = [m for _, m in run_pipeline(spec, sample_general(spec))[1].matrices]
+        distinct += 1 + sum(not np.array_equal(a.coeffs, b.coeffs)
+                            for a, b in zip(matrices, matrices[1:]))
+    assert distinct < 5 * len(draws)
+    resolvents = []
+    real = spectra.resolvent
+    monkeypatch.setattr(spectra, "resolvent",
+                        lambda m, z: resolvents.append(z) or real(m, z))
+    spectra_solved = count_spectra(monkeypatch)
+    assert verify(config).all_passed()
+    assert resolvents == config.z_grid * len(draws)
+    assert len(spectra_solved) == distinct
+
+
 # ---------------------------------------------------------------------------
 # CLI
 # ---------------------------------------------------------------------------
@@ -711,6 +815,17 @@ def test_cli_user_errors_exit_code_two(tmp_path, capsys):
     cfg_path.write_text(json.dumps(config.to_json()))
     assert main(["verify", "--config", str(cfg_path)]) == 2
     assert not (tmp_path / "sweep.csv").exists()
+
+
+def test_cli_unreadable_config_exit_code(tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_text('{"sizes": [4, 8],')
+    assert main(["sweep", "--config", str(bad)]) == 2
+    bad.write_bytes(b'{"sizes": [4, 8], "\xff": 1}')  # not UTF-8
+    assert main(["verify", "--config", str(bad)]) == 2
+    assert capsys.readouterr().err.count(f"error: {bad} is not a UTF-8 JSON file") == 2
+    with pytest.raises(ConfigError):
+        ExperimentConfig.load(bad)
 
 
 def test_cli_bad_config_exit_code(tmp_path):

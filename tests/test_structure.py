@@ -15,7 +15,8 @@ from quatspectra.structure import (BlockMatrix, DecompositionError,
                                    quaternion_parts, schur_block_inverse,
                                    u_partner, u_related, verify_type2_inverse)
 
-from oracles import type2_by_loop, type2_inverse_by_loop
+from memtrace import traced_peak
+from oracles import invert_by_svd_test, type2_by_loop, type2_inverse_by_loop
 
 complex_entry = st.builds(complex,
                           st.floats(-10, 10, allow_nan=False),
@@ -413,6 +414,64 @@ def test_inversion_check_classifies_one_inverse(monkeypatch):
     report = verify_type2_inverse(5, trials=150, seed=3)
     assert report.worst_witness is not None
     assert len(calls) <= 1
+
+
+def _with_condition(rng, m, conds):
+    """Complex ``m x m`` matrices with singular values ``[c, 1, ..., 1]`` for each ``c``."""
+    def unitary():
+        q, _ = np.linalg.qr(rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m)))
+        return q
+    return np.array([unitary() @ np.diag([c] + [1.0] * (m - 1)) @ unitary() for c in conds])
+
+
+@pytest.mark.parametrize("m", [2, 16])
+def test_invert_first_matches_the_svd_test(monkeypatch, m):
+    # cond_2 just under and over the limit and half the limit: at m = 2 the
+    # Frobenius bound is within 1e-14 of cond_2, so the matrices under half
+    # the limit pass on the bound, and the others go to the SVD test.
+    limit = structure._COND_LIMIT
+    conds = [c * (1 + d) for c in (limit / 2, limit) for d in (-1e-6, 1e-6)] + [3.0, 1e3]
+    stack = _with_condition(np.random.default_rng(m), m, conds)
+    svd_tested = []
+    svd_test = structure._well_conditioned
+
+    def counting(s):
+        svd_tested.append(len(s))
+        return svd_test(s)
+
+    monkeypatch.setattr(structure, "_well_conditioned", counting)
+    inverse, well = structure._invert_well_conditioned(stack)
+    monkeypatch.setattr(structure, "_well_conditioned", svd_test)
+    want_well, want_inverses = invert_by_svd_test(stack)
+    assert well.tolist() == want_well.tolist() == [True, True, True, False, True, True]
+    for got, want in zip(inverse, want_inverses):
+        if want is not None:
+            assert got.tobytes() == want.tobytes()
+    if m == 2:
+        assert svd_tested == [3]
+
+
+def test_invert_first_falls_back_on_an_exactly_singular_matrix():
+    rng = np.random.default_rng(1)
+    stack = _with_condition(rng, 4, [2.0, 1e8, 10.0])
+    stack[1, 2] = 0.0  # a zero row: inv raises on the whole stack
+    with pytest.raises(np.linalg.LinAlgError):
+        np.linalg.inv(stack)
+    inverse, well = structure._invert_well_conditioned(stack)
+    want_well, want_inverses = invert_by_svd_test(stack)
+    assert well.tolist() == want_well.tolist() == [True, False, True]
+    assert inverse[0].tobytes() == want_inverses[0].tobytes()
+    assert inverse[2].tobytes() == want_inverses[2].tobytes()
+    assert not inverse[1].any()
+
+
+def test_inversion_check_peak_memory():
+    # 64 trials at n = 8, 0.26 MB per stack of 64 matrices.  Before the
+    # inverses were computed first the peak was 2,714,209 bytes, in the
+    # Type-I deviations of the inverses with the draws, their t_1 = 0 copies
+    # and one more inverse stack held; now about 2.21 MB, when a block is built.
+    verify_type2_inverse(8, 64, seed=0)
+    assert traced_peak(lambda: verify_type2_inverse(8, 64, seed=0)) <= 2_714_209
 
 
 # ---------------------------------------------------------------------------
