@@ -11,6 +11,7 @@ identical regardless of scheduling.
 from __future__ import annotations
 
 import cmath
+import contextlib
 import csv
 import functools
 import hashlib
@@ -18,7 +19,6 @@ import json
 import math
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 from typing import Optional
@@ -50,6 +50,9 @@ KNOWN_CHECKS = ("type2_inverse", "resolvent_structure", "trace_minor",
                 "levy_bounds", "rank_bounds")
 # The type2_inverse check's parameters and their defaults.
 _CHECK_PARAMS = {"inversion_dims": list(range(1, 9)), "inversion_trials": 1000}
+# Draws of order below this run on one BLAS thread: there a second thread
+# gains no wall time but busy-waits (2-core timings in CHANGES.md).
+_ONE_THREAD_BELOW = 128
 
 
 class ConfigError(ValueError):
@@ -222,6 +225,17 @@ def _draws(config: ExperimentConfig):
             yield trial, replace(base, n=n, seed=trial_seed(base.seed, n, trial))
 
 
+def _draw_threads(n: int):
+    """One BLAS thread for a draw of order ``n`` below ``_ONE_THREAD_BELOW``, else the process's."""
+    return spectra._blas_threads(1) if n < _ONE_THREAD_BELOW else contextlib.nullcontext()
+
+
+def _pin_blas_threads(count: int) -> None:
+    """Pool initializer: a worker keeps ``count`` BLAS threads for its lifetime."""
+    if spectra._SET_THREADS:
+        spectra._SET_THREADS(count)
+
+
 # Sweep message of a failed resolvent check, filled from its failure fields.
 _SWEEP_FAILURE = {
     "resolvent_structure": "residual {residual:.3e}",
@@ -278,30 +292,31 @@ def _run_trial(config: ExperimentConfig, hist_dir, draw) -> ConvergenceRow:
     stage, summary, sample = "sample", None, None
     kolmogorov = levy = math.nan
     serrs = dict.fromkeys(map(stieltjes_label, config.z_grid), math.nan)
-    try:
-        w = sample_general(spec)
-        if config.pipeline:
-            stage = "pipeline"
-            w, trace = run_pipeline(spec, w, keep_matrices=False)
-            summary = trace.to_json()
-        try:  # before the eigensolve takes over w's array
-            for name, z, passed, _, failure in _resolvent_checks(w, config, config.checks):
-                if not passed:
-                    checks.append(f"{name} z={z}: " + _SWEEP_FAILURE[name].format(**failure))
-        except Exception as exc:  # never abort the sweep
-            checks.append(f"check error: {exc}")
-        stage = "eigensolve"
-        sample = SpectralSample.from_matrix(w, overwrite=True)
-    except (ValueError, np.linalg.LinAlgError) as exc:
-        # one bad draw must not abort the sweep: its row keeps NaN distances
-        failures.append(f"{stage} error: {exc}")
-    else:
-        esd = ESD(sample.eigenvalues_dedup)
-        kolmogorov = kolmogorov_distance(esd)
-        levy = levy_distance(esd, semicircle_cdf)
-        for z in config.z_grid:
-            point = empirical_stieltjes(sample, z)
-            serrs[stieltjes_label(z)] = abs(point.value - semicircle_stieltjes(z))
+    with _draw_threads(n):
+        try:
+            w = sample_general(spec)
+            if config.pipeline:
+                stage = "pipeline"
+                w, trace = run_pipeline(spec, w, keep_matrices=False)
+                summary = trace.to_json()
+            try:  # before the eigensolve takes over w's array
+                for name, z, passed, _, failure in _resolvent_checks(w, config, config.checks):
+                    if not passed:
+                        checks.append(f"{name} z={z}: " + _SWEEP_FAILURE[name].format(**failure))
+            except Exception as exc:  # never abort the sweep
+                checks.append(f"check error: {exc}")
+            stage = "eigensolve"
+            sample = SpectralSample.from_matrix(w, overwrite=True)
+        except (ValueError, np.linalg.LinAlgError) as exc:
+            # one bad draw must not abort the sweep: its row keeps NaN distances
+            failures.append(f"{stage} error: {exc}")
+        else:
+            esd = ESD(sample.eigenvalues_dedup)
+            kolmogorov = kolmogorov_distance(esd)
+            levy = levy_distance(esd, semicircle_cdf)
+            for z in config.z_grid:
+                point = empirical_stieltjes(sample, z)
+                serrs[stieltjes_label(z)] = abs(point.value - semicircle_stieltjes(z))
     failures += checks
 
     if hist_dir is not None and sample is not None:
@@ -332,7 +347,10 @@ def run(config: ExperimentConfig, jobs: int = 1) -> list:
         Path(hist_dir).mkdir(parents=True, exist_ok=True)
     trial_fn = functools.partial(_run_trial, config, hist_dir)
     if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        from concurrent.futures import ProcessPoolExecutor  # loaded only for a pool
+        threads = spectra._GET_THREADS() if spectra._GET_THREADS else 1  # shared by the workers
+        with ProcessPoolExecutor(max_workers=jobs, initializer=_pin_blas_threads,
+                                 initargs=(max(1, threads // jobs),)) as pool:
             rows = list(pool.map(trial_fn, _draws(config)))
     else:
         rows = [trial_fn(draw) for draw in _draws(config)]
@@ -400,9 +418,10 @@ def _check_type2_inverse(config: ExperimentConfig) -> CheckResult:
     params = {**_CHECK_PARAMS, **config.check_params}
     dims = params["inversion_dims"]
     per_dim = -(-params["inversion_trials"] // len(dims))  # ceil division
-    reports = [verify_type2_inverse(n, per_dim, seed=config.ensemble.seed + n,
-                                    tol=config.check_tol)
-               for n in dims]
+    with _draw_threads(max(dims)):
+        reports = [verify_type2_inverse(n, per_dim, seed=config.ensemble.seed + n,
+                                        tol=config.check_tol)
+                   for n in dims]
     passed = all(r.all_passed() for r in reports)
     return CheckResult(
         name="type2_inverse",
@@ -471,22 +490,23 @@ def verify(config: ExperimentConfig) -> VerificationReport:
     worst = dict.fromkeys(per_draw, 0.0)
     failures = {name: [] for name in per_draw}
     for _, spec in _draws(config) if per_draw else ():
-        w = sample_general(spec)
-        if _WORST_KEYS.keys() & counts.keys():
-            for name, z, passed, value, failure in _resolvent_checks(w, config, checks):
-                counts[name] += 1
-                worst[name] = max(worst[name], value)
-                if not passed:
-                    failures[name].append({"n": spec.n, "seed": spec.seed,
-                                           "z": [z.real, z.imag],
-                                           **failure})
-        if _BOUND_KEYS.keys() & counts.keys():
-            for entry in check_pipeline_bounds(spec, w):
-                for name, key in _BOUND_KEYS.items():
-                    if name in counts and key in entry:
-                        counts[name] += 1
-                        if not entry[key]:
-                            failures[name].append({"n": spec.n, "seed": spec.seed, **entry})
+        with _draw_threads(spec.n):
+            w = sample_general(spec)
+            if _WORST_KEYS.keys() & counts.keys():
+                for name, z, passed, value, failure in _resolvent_checks(w, config, checks):
+                    counts[name] += 1
+                    worst[name] = max(worst[name], value)
+                    if not passed:
+                        failures[name].append({"n": spec.n, "seed": spec.seed,
+                                               "z": [z.real, z.imag],
+                                               **failure})
+            if _BOUND_KEYS.keys() & counts.keys():
+                for entry in check_pipeline_bounds(spec, w):
+                    for name, key in _BOUND_KEYS.items():
+                        if name in counts and key in entry:
+                            counts[name] += 1
+                            if not entry[key]:
+                                failures[name].append({"n": spec.n, "seed": spec.seed, **entry})
     results = []
     for name in checks:
         if name == "type2_inverse":

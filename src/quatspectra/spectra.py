@@ -12,6 +12,7 @@ transform ``s(z) = -(z - sqrt(z^2 - 4)) / 2`` (unit sigma) satisfies
 from __future__ import annotations
 
 import cmath
+import contextlib
 import csv
 import ctypes
 import math
@@ -112,7 +113,7 @@ def _load_symbol(name: str, restype, *argtypes):
 
     The wheel's OpenBLAS exports CBLAS and LAPACKE with 64-bit integers under
     the ``scipy_`` prefix; another numpy build has no such library, and its
-    callers fall back to ``eigvalsh`` and the embedding.
+    callers fall back to the embedding and leave the BLAS thread count alone.
     """
     for path in _OPENBLAS:
         try:
@@ -126,16 +127,11 @@ def _load_symbol(name: str, restype, *argtypes):
 
 
 _INT, _PTR = ctypes.c_int64, ctypes.c_void_p
-_TWO_STAGE = _load_symbol("scipy_LAPACKE_zheevd_2stage64_", _INT, ctypes.c_int, ctypes.c_char,
-                          ctypes.c_char, _INT, _PTR, _INT, _PTR)
 _ZGEMM = _load_symbol("scipy_cblas_zgemm64_", None, *[ctypes.c_int] * 3, _INT, _INT, _INT,
                       _PTR, _PTR, _INT, _PTR, _INT, _PTR, _PTR, _INT)
 _DSTERF = _load_symbol("scipy_LAPACKE_dsterf64_", _INT, _INT, _PTR, _PTR)
-# Order from which the two-stage driver is used.  On 2 cores (OpenBLAS
-# 0.3.31) it tied one-stage ``zheevd`` near order 400 and won from 448 up,
-# by 1.5x at 1600; see CHANGES.md for the measurement.
-_TWO_STAGE_MIN = 512
-_LAPACK_COL_MAJOR = 102
+_GET_THREADS = _load_symbol("scipy_openblas_get_num_threads64_", ctypes.c_int)
+_SET_THREADS = _load_symbol("scipy_openblas_set_num_threads64_", None, ctypes.c_int)
 _TILE = 128  # side of the square tiles in which the Hermitian input check reads
 # Self-dual order n from which SpectralSample takes the quaternion reduction
 # (per-draw timings in CHANGES.md), and the reflectors per panel there.
@@ -143,21 +139,18 @@ _QUAT_MIN = 256
 _NB = 8
 
 
-def _two_stage_eigenvalues(A: np.ndarray, overwrite_a: bool) -> np.ndarray:
-    """Eigenvalues of finite Hermitian ``A`` by ``zheevd_2stage`` (JOBZ=N, UPLO=L).
-
-    The C-ordered array read as column-major is ``conj(A)``, with the same
-    eigenvalues.  LAPACK overwrites it: ``A`` itself if ``overwrite_a`` and
-    ``A`` is writeable and C-ordered, else a copy.
-    """
-    n = A.shape[0]
-    to_c = np.asarray if overwrite_a and A.flags.writeable else np.array
-    a = to_c(A, dtype=np.complex128, order="C")
-    w = np.empty(n)
-    info = _TWO_STAGE(_LAPACK_COL_MAJOR, b"N", b"L", n, a.ctypes.data, n, w.ctypes.data)
-    if info:
-        raise np.linalg.LinAlgError(f"zheevd_2stage failed with info={info}")
-    return w
+@contextlib.contextmanager
+def _blas_threads(count: int):
+    """Run the body on ``count`` OpenBLAS threads, then restore the process-global
+    count; nothing changes without numpy's OpenBLAS or when the count is ``count``."""
+    before = _GET_THREADS() if _GET_THREADS and _SET_THREADS else count
+    if before != count:
+        _SET_THREADS(count)
+    try:
+        yield
+    finally:
+        if before != count:
+            _SET_THREADS(before)
 
 
 def _hermitian_residual(A: np.ndarray):
@@ -191,15 +184,11 @@ def _require_hermitian(A: np.ndarray) -> float:
     return scale
 
 
-def hermitian_eigenvalues(m, *, overwrite_a: bool = False) -> np.ndarray:
-    """All eigenvalues of a Hermitian matrix, ascending.
+def hermitian_eigenvalues(m) -> np.ndarray:
+    """All eigenvalues of a Hermitian matrix, ascending, by ``np.linalg.eigvalsh``.
 
-    The input must be finite and Hermitian within ``1e-10 * max|entry|``.
-    From order ``_TWO_STAGE_MIN`` up they come from LAPACK's two-stage
-    driver ``zheevd_2stage``, where numpy's OpenBLAS provides it; otherwise
-    from ``np.linalg.eigvalsh`` (``zheevd``).  ``overwrite_a`` (as in ``scipy.linalg``)
-    lets the two-stage driver overwrite the input after the checks, instead of
-    a copy; by default the input is never modified.
+    The input must be finite and Hermitian within ``1e-10 * max|entry|``; it
+    is never modified.
 
     Raises
     ------
@@ -209,8 +198,6 @@ def hermitian_eigenvalues(m, *, overwrite_a: bool = False) -> np.ndarray:
     """
     A = _square_matrix(m)
     _require_hermitian(A)
-    if _TWO_STAGE is not None and A.shape[0] >= _TWO_STAGE_MIN:
-        return _two_stage_eigenvalues(A, overwrite_a)
     return np.linalg.eigvalsh(A)
 
 
@@ -342,15 +329,15 @@ class SpectralSample:
         """Spectrum of ``w``: from ``n = _QUAT_MIN`` up by the quaternion reduction,
         whose pairs are exact by construction (``pairing_residual`` 0.0); below
         it, or without ``cblas_zgemm`` or ``dsterf``, from the embedding.
-        ``overwrite`` (as ``overwrite_a``) lets the reduction use ``w``'s own array
-        once the input checks pass, and spends ``w`` (``w.coeffs`` None); by
-        default, or if the checks reject it, ``w`` is left as it was."""
+        ``overwrite`` lets the reduction use ``w``'s own array once the input
+        checks pass, and spends ``w`` (``w.coeffs`` None); by default, or if
+        the checks reject it, ``w`` is left as it was."""
         n = w.n
         if n >= _QUAT_MIN and _ZGEMM is not None and _DSTERF is not None:
             dedup = _quaternion_eigenvalues(w, overwrite)
             return cls(n=n, eigenvalues_full=np.repeat(dedup, 2),
                        eigenvalues_dedup=dedup, pairing_residual=0.0)
-        full = hermitian_eigenvalues(embed(w), overwrite_a=True)
+        full = hermitian_eigenvalues(embed(w))
         if overwrite:
             w.coeffs = None
         dedup, residual = dedup_pairs(full, _PAIRING_TOL)

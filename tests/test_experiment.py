@@ -3,7 +3,9 @@ import csv
 import hashlib
 import json
 import math
+import os
 import runpy
+import subprocess
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -336,6 +338,118 @@ def test_run_parallel_matches_serial(tmp_path):
     serial = run(config, jobs=1)
     parallel = run(config, jobs=2)
     assert [r.to_json() for r in serial] == [r.to_json() for r in parallel]
+
+
+needs_thread_symbols = pytest.mark.skipif(
+    spectra._GET_THREADS is None or spectra._SET_THREADS is None,
+    reason="numpy's OpenBLAS exports no thread-count functions")
+
+
+def _close_rows(a, b, rel):
+    """Rows equal but for numbers within ``rel`` of each other."""
+    if isinstance(a, dict):
+        return a.keys() == b.keys() and all(_close_rows(a[k], b[k], rel) for k in a)
+    if isinstance(a, list):
+        return len(a) == len(b) and all(_close_rows(x, y, rel) for x, y in zip(a, b))
+    if isinstance(a, float):
+        return a == b or abs(a - b) <= rel * max(abs(a), abs(b))
+    return a == b
+
+
+def test_run_jobs_reproduce_serial_rows_by_size(tmp_path):
+    # Exact where the thread count is fixed (n < 128) or does not matter (the
+    # quaternion route, n >= 256); within rel 1e-9 on the embedding between.
+    sizes = [40, 160, spectra._QUAT_MIN]
+    config = small_config(tmp_path, sizes=sizes, pipeline=True,
+                          checks=("resolvent_structure", "trace_minor"))
+    serial = [r.to_json() for r in run(config, jobs=1)]
+    parallel = [r.to_json() for r in run(config, jobs=2)]
+    assert [r["n"] for r in serial] == [r["n"] for r in parallel] == [40, 40, 160, 160, 256, 256]
+    for s, p in zip(serial, parallel):
+        if experiment._ONE_THREAD_BELOW <= s["n"] < spectra._QUAT_MIN:
+            assert _close_rows(s, p, 1e-9), (s, p)
+        else:
+            assert s == p
+
+
+def test_draws_below_the_threshold_run_on_one_blas_thread(tmp_path, monkeypatch):
+    state = {"threads": 4}
+    monkeypatch.setattr(spectra, "_GET_THREADS", lambda: state["threads"])
+    monkeypatch.setattr(spectra, "_SET_THREADS", lambda count: state.update(threads=count))
+    seen = []
+    sample, type2 = experiment.sample_general, experiment.verify_type2_inverse
+
+    def recording_sample(spec):
+        seen.append((spec.n, state["threads"]))
+        return sample(spec)
+
+    def recording_type2(n, *args, **kwargs):
+        seen.append(("type2", state["threads"]))
+        return type2(n, *args, **kwargs)
+
+    monkeypatch.setattr(experiment, "sample_general", recording_sample)
+    monkeypatch.setattr(experiment, "verify_type2_inverse", recording_type2)
+    small, large = experiment._ONE_THREAD_BELOW - 1, experiment._ONE_THREAD_BELOW
+    config = small_config(tmp_path, sizes=[small, large], trials_per_size=1, z_grid=[1j],
+                          checks=("type2_inverse", "resolvent_structure"),
+                          check_params={"inversion_dims": [1, 2], "inversion_trials": 2})
+    run(config)
+    assert seen == [(small, 1), (large, 4)] and state["threads"] == 4
+    seen.clear()
+    assert verify(config).all_passed()
+    assert seen == [(small, 1), (large, 4), ("type2", 1), ("type2", 1)]
+    assert state["threads"] == 4
+
+
+def _blas_thread_count():
+    # Module level, so a pool worker can run it.
+    return spectra._GET_THREADS()
+
+
+@needs_thread_symbols
+def test_pool_initializer_pins_the_share_it_is_given():
+    from concurrent.futures import ProcessPoolExecutor
+    with spectra._blas_threads(2):  # a forked worker would inherit 2
+        with ProcessPoolExecutor(max_workers=1, initializer=experiment._pin_blas_threads,
+                                 initargs=(1,)) as pool:
+            assert pool.submit(_blas_thread_count).result(timeout=60) == 1
+
+
+@pytest.mark.parametrize("jobs, share", [(2, 2), (3, 1), (8, 1)])
+def test_run_gives_each_pool_worker_its_share_of_the_threads(tmp_path, monkeypatch,
+                                                             jobs, share):
+    import concurrent.futures
+    pools = []
+
+    class InlinePool:
+        def __init__(self, max_workers, initializer, initargs):
+            pools.append((max_workers, initializer, initargs))
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
+    monkeypatch.setattr(spectra, "_GET_THREADS", lambda: 5)
+    monkeypatch.setattr(spectra, "_SET_THREADS", lambda count: None)
+    config = small_config(tmp_path)
+    assert [r.to_json() for r in run(config, jobs=jobs)] == \
+        [r.to_json() for r in run(config, jobs=1)]
+    assert pools == [(jobs, experiment._pin_blas_threads, (share,))]
+
+
+def test_cli_import_leaves_the_process_pool_unloaded():
+    # The pool's modules (multiprocessing, pickle, socket) load only for jobs > 1.
+    src = str(Path(experiment.__file__).resolve().parent.parent)
+    code = "import sys, quatspectra.cli; print('concurrent.futures.process' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": src})
+    assert out.stdout.strip() == "False"
 
 
 @pytest.mark.parametrize("jobs", [0, -1, 2.5, 1.0, "2", math.nan, True, None])

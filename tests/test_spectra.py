@@ -128,84 +128,12 @@ def _random_hermitian(n, seed):
     return (A + A.conj().T) / 2
 
 
-TWO_STAGE_MIN = spectra._TWO_STAGE_MIN
-needs_two_stage = pytest.mark.skipif(spectra._TWO_STAGE is None,
-                                     reason="numpy's LAPACK has no zheevd_2stage")
-
-
-@pytest.fixture(scope="module", params=["gse_min", "gse_1600", "hermitian_odd"])
-def large_hermitian(request):
-    """A matrix on the two-stage side of the crossover, with its ``eigvalsh``."""
-    if request.param == "gse_min":
-        A = embed(sample_gse(TWO_STAGE_MIN // 2, seed=11)).values
-    elif request.param == "gse_1600":
-        A = embed(sample_gse(800, seed=12)).values
-    else:
-        A = _random_hermitian(TWO_STAGE_MIN + 1, seed=13)
-    return A, np.linalg.eigvalsh(A)
-
-
-def _counting(monkeypatch, name):
-    calls = []
-    fn = getattr(spectra, name)
-
-    def counted(*args):
-        calls.append(args)
-        return fn(*args)
-
-    monkeypatch.setattr(spectra, name, counted)
-    return calls
-
-
-@needs_two_stage
-def test_two_stage_path_matches_eigvalsh_and_inertia(large_hermitian, monkeypatch):
-    A, reference = large_hermitian
-    calls = _counting(monkeypatch, "_TWO_STAGE")
-    got = hermitian_eigenvalues(A)
-    assert len(calls) == 1
-    assert np.max(np.abs(got - reference)) <= 1e-12 * max(1.0, np.abs(reference).max())
-    # Midpoints after every 2nd eigenvalue avoid the pairs of an embedding.
-    N = A.shape[0]
-    for k in (2 * (j * N // 12) + 1 for j in range(1, 6)):
-        assert count_eigs_below(A, 0.5 * (got[k] + got[k + 1])) == k + 1
-    assert np.array_equal(hermitian_eigenvalues(A), got)
-
-
-def test_eigvalsh_path_without_two_stage_driver(large_hermitian, monkeypatch):
-    A, reference = large_hermitian
-    monkeypatch.setattr(spectra, "_TWO_STAGE", None)
-    assert np.array_equal(hermitian_eigenvalues(A), reference)
-
-
-def test_eigvalsh_path_below_crossover(monkeypatch):
-    A = _random_hermitian(TWO_STAGE_MIN - 1, seed=14)
-    calls = _counting(monkeypatch, "_TWO_STAGE")
-    assert np.array_equal(hermitian_eigenvalues(A), np.linalg.eigvalsh(A))
-    assert calls == []
-
-
 def _no_lapack(*args):
     raise AssertionError("LAPACK reached")
 
 
-@pytest.mark.parametrize("bad", [math.nan, math.inf])
-def test_two_stage_side_rejects_non_finite_before_lapack(bad, monkeypatch):
-    monkeypatch.setattr(spectra, "_TWO_STAGE", _no_lapack)
-    A = _random_hermitian(TWO_STAGE_MIN, seed=15)
-    A[3, 7] = bad
-    with pytest.raises(NotHermitianError, match="finite"):
-        hermitian_eigenvalues(A)
-
-
-def test_two_stage_failure_raises_linalg_error(monkeypatch):
-    monkeypatch.setattr(spectra, "_TWO_STAGE", lambda *args: 1)
-    with pytest.raises(np.linalg.LinAlgError, match="info=1"):
-        hermitian_eigenvalues(_random_hermitian(TWO_STAGE_MIN, seed=16))
-
-
 def _check_outcome(A, monkeypatch):
     """``hermitian_eigenvalues(A)`` with LAPACK stubbed out: None or the error text."""
-    monkeypatch.setattr(spectra, "_TWO_STAGE", lambda *args: 0)
     monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: np.zeros(len(a)))
     try:
         hermitian_eigenvalues(A)
@@ -258,32 +186,30 @@ def test_tiled_hermitian_check_matches_full_temporaries(law, n, monkeypatch):
     _assert_check_matches_oracle(embed(w).values, monkeypatch)
 
 
-@pytest.mark.parametrize("order", [TWO_STAGE_MIN - 1, TWO_STAGE_MIN])
+@pytest.mark.parametrize("order", [4 * TILE - 1, 4 * TILE])
 def test_tiled_hermitian_check_around_the_two_stage_crossover(order, monkeypatch):
-    # A general Hermitian matrix, of odd order on one side of the crossover.
+    # A general Hermitian matrix of odd order, and one of a whole number of tiles.
     _assert_check_matches_oracle(_random_hermitian(order, seed=order), monkeypatch)
 
 
-@needs_two_stage
 def test_spectral_sample_peak_memory_is_one_embedding(monkeypatch):
-    # n = 300 lies below _QUAT_MIN here, so the embedding path runs: order
-    # 600 goes to zheevd_2stage, which overwrites the embedding itself; the
-    # input check works in tiles.  LAPACK's own workspace is not allocated
-    # through Python.
+    # n = 300 lies below _QUAT_MIN here, so the embedding path runs; the input
+    # check works in tiles.  The copy eigvalsh hands to LAPACK and LAPACK's
+    # workspace are not allocated through Python.
     w = sample_gse(300, seed=21)
     monkeypatch.setattr(spectra, "_QUAT_MIN", w.n + 1)
     embedding_bytes = 16 * (2 * w.n) ** 2
     assert traced_peak(lambda: SpectralSample.from_matrix(w)) <= 1.25 * embedding_bytes
 
 
-BOTH_DRIVERS = [200, 600]  # orders below and above _TWO_STAGE_MIN
+EIG_ORDERS = [200, 600]  # embedding orders below and above 2 * _QUAT_MIN
 
 
 def _embedded_gse(order, seed):
     return embed(sample_gse(order // 2, seed=seed)).values
 
 
-@pytest.mark.parametrize("order", BOTH_DRIVERS)
+@pytest.mark.parametrize("order", EIG_ORDERS)
 def test_eigenvalues_leave_the_input_alone_by_default(order):
     A = _embedded_gse(order, seed=23)
     before = A.copy()
@@ -291,49 +217,68 @@ def test_eigenvalues_leave_the_input_alone_by_default(order):
     assert A.tobytes() == before.tobytes()
 
 
-@pytest.mark.parametrize("order", BOTH_DRIVERS)
-def test_overwrite_a_gives_the_same_eigenvalues(order):
-    A = _embedded_gse(order, seed=24)
-    expected = hermitian_eigenvalues(A)
-    B = A.copy()
-    got = hermitian_eigenvalues(B, overwrite_a=True)
-    assert got.tobytes() == expected.tobytes()
-    if spectra._TWO_STAGE is not None and order >= TWO_STAGE_MIN:
-        assert not np.array_equal(B, A)  # LAPACK worked in the caller's array
-
-
 @pytest.mark.parametrize("change", [1e-6, math.nan, math.inf])
-@pytest.mark.parametrize("order", BOTH_DRIVERS)
+@pytest.mark.parametrize("order", EIG_ORDERS)
 def test_rejected_input_is_not_overwritten(order, change, monkeypatch):
-    monkeypatch.setattr(spectra, "_TWO_STAGE", _no_lapack)
+    monkeypatch.setattr(np.linalg, "eigvalsh", _no_lapack)
     A = _random_hermitian(order, seed=25)
     A[order - 1, 0] += change
     before = A.copy()
     with pytest.raises(NotHermitianError):
-        hermitian_eigenvalues(A, overwrite_a=True)
+        hermitian_eigenvalues(A)
     assert A.tobytes() == before.tobytes()
 
 
-@needs_two_stage
-def test_overwrite_a_copies_input_it_cannot_overwrite():
-    A = _random_hermitian(TWO_STAGE_MIN + 8, seed=26)
-    expected = hermitian_eigenvalues(A)
-    padded = np.zeros((2 * A.shape[0], A.shape[0]), dtype=complex)
-    padded[::2] = A
-    strided, fortran, read_only = padded[::2], np.asfortranarray(A), A.copy()
-    read_only.setflags(write=False)
-    owners = (padded, fortran, read_only)
-    snapshots = [B.copy() for B in owners]
-    for B in (strided, fortran, read_only):
-        assert hermitian_eigenvalues(B, overwrite_a=True).tobytes() == expected.tobytes()
-    assert all(np.array_equal(B, snap) for B, snap in zip(owners, snapshots))
-    # A real symmetric float64 input is converted to complex, and left alone.
-    S = np.ascontiguousarray(A.real)
-    S_before = S.copy()
-    got = hermitian_eigenvalues(S, overwrite_a=True)
-    assert got.tobytes() == hermitian_eigenvalues(S.astype(complex)).tobytes()
-    assert S.tobytes() == S_before.tobytes()
-    assert np.max(np.abs(got - np.linalg.eigvalsh(S))) <= 1e-12 * np.abs(got).max()
+# ---------------------------------------------------------------------------
+# BLAS thread count
+# ---------------------------------------------------------------------------
+
+needs_thread_symbols = pytest.mark.skipif(
+    spectra._GET_THREADS is None or spectra._SET_THREADS is None,
+    reason="numpy's OpenBLAS exports no thread-count functions")
+
+
+@needs_thread_symbols
+def test_blas_threads_sets_the_count_and_restores_it():
+    before = spectra._GET_THREADS()
+    other = 2 if before == 1 else 1
+    with spectra._blas_threads(other):
+        assert spectra._GET_THREADS() == other
+    assert spectra._GET_THREADS() == before
+    with pytest.raises(KeyError):
+        with spectra._blas_threads(other):
+            assert spectra._GET_THREADS() == other
+            raise KeyError("the body fails")
+    assert spectra._GET_THREADS() == before
+
+
+def test_blas_threads_does_nothing_without_a_symbol_or_a_change(monkeypatch):
+    calls = []
+    for get, set_ in ((None, calls.append), (lambda: 3, None), (None, None),
+                      (lambda: 1, calls.append)):  # the last: the count is already 1
+        monkeypatch.setattr(spectra, "_GET_THREADS", get)
+        monkeypatch.setattr(spectra, "_SET_THREADS", set_)
+        with spectra._blas_threads(1):
+            pass
+    assert calls == []
+    monkeypatch.setattr(spectra, "_GET_THREADS", lambda: 3)
+    monkeypatch.setattr(spectra, "_SET_THREADS", calls.append)
+    with spectra._blas_threads(1):
+        assert calls == [1]
+    assert calls == [1, 3]
+
+
+@needs_thread_symbols
+@pytest.mark.parametrize("n", [256, 300])
+def test_quaternion_eigenvalues_do_not_depend_on_the_thread_count(n):
+    # Sweeps rely on this: draws of the quaternion route give the same bytes
+    # whatever share of the BLAS threads their process has.
+    w = sample_gse(n, seed=n)
+    with spectra._blas_threads(1):
+        one = spectra._quaternion_eigenvalues(w)
+    with spectra._blas_threads(2):
+        two = spectra._quaternion_eigenvalues(w)
+    assert one.tobytes() == two.tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -981,7 +926,7 @@ def _raises_value_error(fn, *args):
     assert not isinstance(info.value, np.linalg.LinAlgError), info.value
 
 
-_BIG_HERMITIAN = _random_hermitian(TWO_STAGE_MIN, seed=17)
+_BIG_HERMITIAN = _random_hermitian(4 * TILE, seed=17)  # several tiles of the input check
 _NON_FINITE = st.sampled_from([math.nan, math.inf, -math.inf])
 
 
