@@ -244,22 +244,28 @@ def u_related(p: np.ndarray, q: np.ndarray, tol: float) -> bool:
 
 
 def _type1_deviations(values: np.ndarray) -> tuple:
-    """Scale and relative Type-I deviations of each matrix of a ``(..., 2n, 2n)`` stack.
+    """Scale and Type-I deviations of each matrix of a ``(..., 2n, 2n)`` stack.
 
     Returns ``(scale, diag_dev, d_dev)``: the largest entry modulus of each
     matrix; ``diag_dev[..., j]``, how far diagonal block ``j`` is from a
     scalar matrix; and ``d_dev[..., j, k]``, how far block ``(k, j)`` is from
-    the d-mirror of block ``(j, k)``.  Deviations are relative to the scale
-    (to 1 for a zero matrix); ``d_dev`` on its diagonal is not a pair.
+    the d-mirror of block ``(j, k)``, zero for ``j == k``.  Deviations are
+    absolute; the relative ones divide them by the scale (by 1 for a zero
+    matrix), and since rounding is monotone the largest relative deviation
+    is the largest absolute one divided, to the bit.
     """
     n = values.shape[-1] // 2
-    blocks = values.reshape(values.shape[:-2] + (n, 2, n, 2)).swapaxes(-3, -2)
-    scale = np.abs(values).max(axis=(-2, -1))
-    denom = np.where(scale > 0, scale, 1.0)[..., None]
-    diag_dev = _type_t_deviation(blocks[..., np.arange(n), np.arange(n), :, :]) / denom
-    transposed = blocks.swapaxes(-4, -3)  # [j, k] -> block (k, j)
-    d_dev = np.abs(transposed - d_partner(blocks)).max(axis=(-2, -1)) / denom[..., None]
-    return scale, diag_dev, d_dev
+    v = values.reshape(values.shape[:-2] + (n, 2, n, 2))  # v[..., j, r, k, s]
+    vt = v.swapaxes(-4, -2)  # entry (r, s) of block (k, j)
+    # Block (k, j) minus the d-mirror [[p11, -p01], [-p10, p00]] of p = block (j, k).
+    d_dev = np.abs(vt[..., 0, :, 0] - v[..., 1, :, 1])
+    for dev in (vt[..., 0, :, 1] + v[..., 0, :, 1], vt[..., 1, :, 0] + v[..., 1, :, 0],
+                vt[..., 1, :, 1] - v[..., 0, :, 0]):
+        np.maximum(d_dev, np.abs(dev), out=d_dev)
+    diag = np.arange(n)
+    d_dev[..., diag, diag] = 0.0  # not pairs
+    diag_dev = _type_t_deviation(np.moveaxis(np.diagonal(v, axis1=-4, axis2=-2), -1, -3))
+    return np.abs(values).max(axis=(-2, -1)), diag_dev, d_dev
 
 
 def classify(m, tol: float) -> StructureReport:
@@ -283,7 +289,10 @@ def classify(m, tol: float) -> StructureReport:
     scale, diag_dev, d_dev = _type1_deviations(values)
     scale = float(scale)
     denom = scale if scale > 0 else 1.0
-    u_dev = np.abs(blocks.swapaxes(0, 1) - u_partner(blocks)).max(axis=(2, 3)) / denom
+    diag_dev, d_dev = diag_dev / denom, d_dev / denom
+    u_diff = np.abs(blocks.swapaxes(0, 1) - u_partner(blocks))
+    u_dev = np.maximum(np.maximum(u_diff[..., 0, 0], u_diff[..., 0, 1]),
+                       np.maximum(u_diff[..., 1, 0], u_diff[..., 1, 1])) / denom
     off = ~np.eye(n, dtype=bool)
 
     diag_res = float(diag_dev.max())
@@ -330,26 +339,29 @@ def classify(m, tol: float) -> StructureReport:
     )
 
 
-def _type2_values(t: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
-    """Type-II matrices ``(..., 2n, 2n)`` from ``t (..., n)`` and ``coeffs (..., n, n, 4)``.
+def _type2_values(t: np.ndarray, pairs: np.ndarray) -> np.ndarray:
+    """Type-II matrices ``(..., 2n, 2n)`` from ``t (..., n)`` and ``pairs (..., m, 4)``.
 
-    The stacked form of :func:`make_type2`, which documents the layout.
+    The stacked form of :func:`make_type2`, which documents the layout;
+    ``pairs`` holds the ``m = n(n-1)/2`` entries ``coeffs[j, k]``, ``j < k``,
+    in ``np.triu_indices(n, 1)`` order.
     """
     n = t.shape[-1]
     j, k = np.triu_indices(n, 1)
-    a, b, c, d = np.moveaxis(coeffs[..., j, k, :], -1, 0)
+    a, b, c, d = np.moveaxis(pairs, -1, 0)
     upper = np.empty(a.shape + (2, 2), dtype=complex)
     upper[..., 0, 0] = a + 1j * c
     upper[..., 0, 1] = b + 1j * d
     upper[..., 1, 0] = -b.conj() - 1j * d.conj()
     upper[..., 1, 1] = a.conj() + 1j * c.conj()
-    blocks = np.zeros(t.shape + (n, 2, 2), dtype=complex)
+    values = np.zeros(t.shape[:-1] + (2 * n, 2 * n), dtype=complex)
+    blocks = values.reshape(t.shape + (2, n, 2)).swapaxes(-3, -2)  # a view
     diag = np.arange(n)
     blocks[..., diag, diag, 0, 0] = t
     blocks[..., diag, diag, 1, 1] = t
     blocks[..., j, k, :, :] = upper
     blocks[..., k, j, :, :] = u_partner(upper)
-    return blocks.swapaxes(-3, -2).reshape(t.shape[:-1] + (2 * n, 2 * n))
+    return values
 
 
 def make_type2(n: int, t: np.ndarray, coeffs: np.ndarray) -> BlockMatrix:
@@ -382,7 +394,7 @@ def make_type2(n: int, t: np.ndarray, coeffs: np.ndarray) -> BlockMatrix:
                          f"({n}, {n}, 4), got {t.shape} and {coeffs.shape}")
     if not (np.all(np.isfinite(t)) and np.all(np.isfinite(coeffs))):
         raise DecompositionError("t and coeffs must be finite")
-    return BlockMatrix(_type2_values(t, coeffs))
+    return BlockMatrix(_type2_values(t, coeffs[np.triu_indices(n, 1)]))
 
 
 def schur_block_inverse(m, split: int) -> BlockMatrix:
@@ -485,10 +497,18 @@ def _invert_well_conditioned(stack: np.ndarray) -> tuple:
     return inverse, well
 
 
-def _draw_type2_parameters(rng: np.random.Generator, n: int) -> tuple:
-    t = rng.standard_normal(n) + 1j * (rng.standard_normal(n) + 1.0)
-    coeffs = rng.standard_normal((n, n, 4)) + 1j * rng.standard_normal((n, n, 4))
-    return t, coeffs
+def _type2_from_normals(normals: np.ndarray, n: int) -> np.ndarray:
+    """Type-II matrices ``(k, 2n, 2n)`` from ``(k, 2n + 8n^2)`` rows of standard normals.
+
+    Each row is one trial's draw, in the order it is drawn: the real and the
+    imaginary parts of ``t``, then those of ``coeffs``.
+    """
+    t_re, t_im, c_re, c_im = np.split(normals, np.cumsum([n, n, 4 * n * n]), axis=-1)
+    shape = normals.shape[:-1] + (n, n, 4)
+    j, k = np.triu_indices(n, 1)  # only these coefficients are read
+    t = t_re + 1j * (t_im + 1.0)
+    pairs = c_re.reshape(shape)[..., j, k, :] + 1j * c_im.reshape(shape)[..., j, k, :]
+    return _type2_values(t, pairs)
 
 
 def verify_type2_inverse(n: int, trials: int, seed: int, tol: float = 1e-8) -> InversionCheckReport:
@@ -502,10 +522,15 @@ def verify_type2_inverse(n: int, trials: int, seed: int, tol: float = 1e-8) -> I
     the continuity corner case ``t_1 = 0`` whenever that variant is still
     invertible.
 
-    Draws that are numerically too ill-conditioned for the tolerance
-    (condition number above 1e7) are redrawn from the same trial's stream;
-    the count is reported.  Trials run in blocks of a fixed size, each block
-    as stacked arrays: one batched inverse per variant and round of draws,
+    Each draw is one ``standard_normal(2n + 8n^2)`` call on the trial's
+    generator; its normals are, in order, the real and the imaginary parts
+    of the ``t_j`` (the imaginary ones before the shift), then those of the
+    coefficients, :func:`make_type2`'s ``(n, n, 4)`` array ``coeffs`` in
+    row-major order.  Draws that are numerically too
+    ill-conditioned for the tolerance (condition number above 1e7) are
+    redrawn from the same trial's stream; the count is reported.  Trials
+    run in blocks of a fixed size, each block as stacked arrays, drawn into
+    one buffer: one batched inverse per variant and round of draws,
     whose Frobenius bound spares most matrices the SVD condition test.
     Every trial draws from its own stream, seeded by ``(seed, trial)``, so
     the report depends neither on the block size nor on the order in which
@@ -528,23 +553,26 @@ def verify_type2_inverse(n: int, trials: int, seed: int, tol: float = 1e-8) -> I
     resamples = 0
     max_residual = 0.0
     worst_inverse = None
-    off = ~np.eye(n, dtype=bool)
 
     for start in range(0, trials, _BLOCK_TRIALS):
         rngs = [np.random.default_rng(np.random.SeedSequence((seed, trial)))
                 for trial in range(start, min(start + _BLOCK_TRIALS, trials))]
         size = len(rngs)
-        values = np.empty((size, 2 * n, 2 * n), dtype=complex)
+        normals = np.empty((size, 2 * n + 8 * n * n))  # row i: trial i's draw
+        for rng, row in zip(rngs, normals):
+            rng.standard_normal(out=row)
+        values = _type2_from_normals(normals, n)
         # inverses[i, v]: variant v (0 the draw, 1 its t_1 = 0 copy) of trial i;
         # an ill-conditioned t_1 = 0 copy is left at zero and not checked.
         inverses = np.empty((size, 2, 2 * n, 2 * n), dtype=complex)
-        pending = np.arange(size)
-        while pending.size:
-            t, coeffs = zip(*(_draw_type2_parameters(rngs[i], n) for i in pending))
-            values[pending] = _type2_values(np.array(t), np.array(coeffs))
-            inverses[pending, 0], well = _invert_well_conditioned(
-                values if pending.size == size else values[pending])
-            resamples += int((~well).sum())
+        inverses[:, 0], well = _invert_well_conditioned(values)
+        pending = np.flatnonzero(~well)
+        while pending.size:  # redraw each ill-conditioned draw from its stream
+            resamples += pending.size
+            for i in pending.tolist():
+                rngs[i].standard_normal(out=normals[i])
+            values[pending] = _type2_from_normals(normals[pending], n)
+            inverses[pending, 0], well = _invert_well_conditioned(values[pending])
             pending = pending[~well]
 
         values[:, 0, 0] = values[:, 1, 1] = 0.0  # t_1 = 0
@@ -552,9 +580,9 @@ def verify_type2_inverse(n: int, trials: int, seed: int, tol: float = 1e-8) -> I
         inverses[~has_zeroed, 1] = 0.0
         del values  # the deviations below are the check's peak
 
-        _, diag_dev, d_dev = _type1_deviations(inverses)
-        residuals = np.maximum(diag_dev.max(axis=-1),
-                               d_dev[..., off].max(axis=-1, initial=0.0))
+        scale, diag_dev, d_dev = _type1_deviations(inverses)
+        residuals = np.maximum(diag_dev.max(axis=-1), d_dev.max(axis=(-2, -1)))
+        residuals /= np.where(scale > 0, scale, 1.0)
         residuals[~has_zeroed, 1] = -1.0  # unchecked: passes, is never the worst
         passes += int(np.all(residuals <= tol, axis=1).sum())
         # First occurrence in (trial, variant) order, as a running strict max.

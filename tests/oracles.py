@@ -12,8 +12,9 @@ input check and the self-dual check are the references for their
 temporary-free versions, which must agree with them exactly.  The
 verification suite's reuse of work has its references at the end: the
 resolvent checks one public call at a time, the pipeline bounds with every
-stage spectrum solved, and the condition test by SVD alone; each must agree
-with the shared version to the bit.
+stage spectrum solved, the condition test by SVD alone, and the Type-I
+deviations one block pair at a time; each must agree with the shared
+version to the bit.
 """
 
 import itertools
@@ -311,3 +312,24 @@ def invert_by_svd_test(stack: np.ndarray):
     well = structure._well_conditioned(stack)
     inverses = [np.linalg.inv(a) if ok else None for a, ok in zip(stack, well)]
     return well, inverses
+
+
+def type1_deviations_by_blocks(values: np.ndarray) -> tuple:
+    """``structure._type1_deviations`` of one ``2n x 2n`` matrix, one block at a time.
+
+    Block ``(k, j)`` is compared with ``d_partner`` of block ``(j, k)``, and
+    the deviations are relative to the largest entry modulus (1 for a zero
+    matrix); ``d_dev`` has zeros on its diagonal.
+    """
+    n = values.shape[0] // 2
+    block = lambda j, k: values[2 * j:2 * j + 2, 2 * k:2 * k + 2]
+    scale = np.abs(values).max()
+    denom = scale if scale > 0 else 1.0
+    diag_dev = np.zeros(n)
+    for j in range(n):
+        b = block(j, j)
+        diag_dev[j] = np.abs([b[0, 1], b[1, 0], b[0, 0] - b[1, 1]]).max() / denom
+    d_dev = np.zeros((n, n))
+    for j, k in itertools.permutations(range(n), 2):
+        d_dev[j, k] = np.abs(block(k, j) - structure.d_partner(block(j, k))).max() / denom
+    return scale, diag_dev, d_dev

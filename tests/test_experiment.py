@@ -397,7 +397,7 @@ def test_draws_below_the_threshold_run_on_one_blas_thread(tmp_path, monkeypatch)
     assert seen == [(small, 1), (large, 4)] and state["threads"] == 4
     seen.clear()
     assert verify(config).all_passed()
-    assert seen == [(small, 1), (large, 4), ("type2", 1), ("type2", 1)]
+    assert seen == [("type2", 1), ("type2", 1), (small, 1), (large, 4)]
     assert state["threads"] == 4
 
 
@@ -415,9 +415,8 @@ def test_pool_initializer_pins_the_share_it_is_given():
             assert pool.submit(_blas_thread_count).result(timeout=60) == 1
 
 
-@pytest.mark.parametrize("jobs, share", [(2, 2), (3, 1), (8, 1)])
-def test_run_gives_each_pool_worker_its_share_of_the_threads(tmp_path, monkeypatch,
-                                                             jobs, share):
+def _inline_pools(monkeypatch, threads):
+    """Run pools in-process with ``threads`` BLAS threads; return the list of pools made."""
     import concurrent.futures
     pools = []
 
@@ -435,12 +434,33 @@ def test_run_gives_each_pool_worker_its_share_of_the_threads(tmp_path, monkeypat
             return map(fn, items)
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
-    monkeypatch.setattr(spectra, "_GET_THREADS", lambda: 5)
+    monkeypatch.setattr(spectra, "_GET_THREADS", lambda: threads)
     monkeypatch.setattr(spectra, "_SET_THREADS", lambda count: None)
-    config = small_config(tmp_path)
+    return pools
+
+
+@pytest.mark.parametrize("jobs, share", [(2, 2), (3, 1), (8, 1)])
+def test_run_gives_each_pool_worker_its_share_of_the_threads(tmp_path, monkeypatch,
+                                                             jobs, share):
+    pools = _inline_pools(monkeypatch, 5)
+    config = small_config(tmp_path)  # 4 draws: no more than 4 workers
     assert [r.to_json() for r in run(config, jobs=jobs)] == \
         [r.to_json() for r in run(config, jobs=1)]
-    assert pools == [(jobs, experiment._pin_blas_threads, (share,))]
+    assert pools == [(min(jobs, 4), experiment._pin_blas_threads, (share,))]
+
+
+def test_run_caps_the_pool_at_the_draw_count(tmp_path, monkeypatch):
+    # Far more jobs than draws: one worker per draw, each with its share of
+    # the threads; a single draw runs in-process, with no pool at all.
+    pools = _inline_pools(monkeypatch, 8)
+    config = small_config(tmp_path)
+    want = [r.to_json() for r in run(config, jobs=1)]
+    assert [r.to_json() for r in run(config, jobs=64)] == want
+    assert pools == [(4, experiment._pin_blas_threads, (2,))]
+    pools.clear()
+    single = small_config(tmp_path, sizes=[4], trials_per_size=1)
+    assert [r.to_json() for r in run(single, jobs=64)] == want[:1]
+    assert pools == []
 
 
 def test_cli_import_leaves_the_process_pool_unloaded():
@@ -730,6 +750,26 @@ def test_verify_one_pass_matches_single_check_runs():
         assert verify(config).checks == [result]
     config.checks = tuple(reversed(KNOWN_CHECKS))
     assert verify(config).checks == full[::-1]
+
+
+def test_verify_runs_the_inversion_check_before_any_draw(monkeypatch):
+    # Computed first, reported where the config lists it.
+    config = default_verify_config(seed=2)
+    config.sizes, config.trials_per_size = [4, 8], 1
+    config.check_params["inversion_trials"] = 16
+    config.checks = ("resolvent_structure", "type2_inverse", "rank_bounds")
+    singles = []
+    for name in config.checks:
+        singles += verify(replace(config, checks=(name,))).to_json()["checks"]
+    calls = []
+    sample, type2 = experiment.sample_general, experiment.verify_type2_inverse
+    monkeypatch.setattr(experiment, "sample_general",
+                        lambda spec: calls.append("sample") or sample(spec))
+    monkeypatch.setattr(experiment, "verify_type2_inverse",
+                        lambda *args, **kwargs: calls.append("type2") or type2(*args, **kwargs))
+    payload = verify(config).to_json()
+    assert json.dumps(payload) == json.dumps({"passed": True, "checks": singles})
+    assert calls.index("sample") == calls.count("type2") == 8
 
 
 def test_verify_records_a_failing_bound_entry_under_both_checks(monkeypatch):

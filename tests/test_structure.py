@@ -16,7 +16,8 @@ from quatspectra.structure import (BlockMatrix, DecompositionError,
                                    u_partner, u_related, verify_type2_inverse)
 
 from memtrace import traced_peak
-from oracles import invert_by_svd_test, type2_by_loop, type2_inverse_by_loop
+from oracles import (invert_by_svd_test, type1_deviations_by_blocks, type2_by_loop,
+                     type2_inverse_by_loop)
 
 complex_entry = st.builds(complex,
                           st.floats(-10, 10, allow_nan=False),
@@ -401,6 +402,67 @@ def test_inversion_check_is_independent_of_block_size(monkeypatch, block):
     assert sum(report["resamples"] for report in want) > 0
     monkeypatch.setattr(structure, "_BLOCK_TRIALS", block)
     assert [verify_type2_inverse(*case).to_json() for case in cases] == want
+
+
+@pytest.mark.parametrize("n, trials, cond_limit", [(1, 9, 1e7), (3, 70, 30), (8, 65, 1e7)])
+def test_inversion_check_draws_each_trial_in_one_call(monkeypatch, n, trials, cond_limit):
+    # Every draw, a redraw included, is one standard_normal call on its
+    # trial's generator; no other method of the generator is used.
+    monkeypatch.setattr(structure, "_COND_LIMIT", cond_limit)
+    want = verify_type2_inverse(n, trials, seed=2).to_json()
+    calls = []
+    make_rng = np.random.default_rng
+
+    class CountingGenerator:
+        def __init__(self, seed):
+            self._rng = make_rng(seed)
+
+        def standard_normal(self, *args, **kwargs):
+            calls.append(1)
+            return self._rng.standard_normal(*args, **kwargs)
+
+    monkeypatch.setattr(np.random, "default_rng", CountingGenerator)
+    report = verify_type2_inverse(n, trials, seed=2)
+    assert report.to_json() == want
+    assert len(calls) == trials + report.resamples
+    assert cond_limit > 100 or report.resamples > 0
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_one_normal_call_is_the_four_call_draw(n):
+    # A generator's normals come in sequence, so one call of the summed
+    # length is the draw the oracle makes in four, and builds its matrix.
+    seed = np.random.SeedSequence((17, n))
+    normals = np.random.default_rng(seed).standard_normal(2 * n + 8 * n * n)
+    rng = np.random.default_rng(seed)
+    parts = [rng.standard_normal(n), rng.standard_normal(n),
+             rng.standard_normal((n, n, 4)), rng.standard_normal((n, n, 4))]
+    assert np.array_equal(normals, np.concatenate([p.ravel() for p in parts]))
+    t = parts[0] + 1j * (parts[1] + 1.0)
+    coeffs = parts[2] + 1j * parts[3]
+    built = structure._type2_from_normals(normals[None], n)
+    assert built.shape == (1, 2 * n, 2 * n)
+    assert np.array_equal(built[0], make_type2(n, t, coeffs).values)
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_type1_deviations_match_the_block_loop(n):
+    # Absolute deviations, divided by the scale afterwards, give the block
+    # loop's relative ones to the bit, and so does their largest value.
+    rng = np.random.default_rng(30 + n)
+    noise = rng.standard_normal((2, 2 * n, 2 * n)) + 1j * rng.standard_normal((2, 2 * n, 2 * n))
+    inverse = np.linalg.inv(random_type2(n, seed=n).values)
+    stack = np.stack([inverse, inverse + 1e-9 * noise[0], noise[1], np.zeros_like(inverse)])
+    scale, diag_dev, d_dev = structure._type1_deviations(stack.reshape(2, 2, 2 * n, 2 * n))
+    scale, diag_dev, d_dev = scale.ravel(), diag_dev.reshape(4, n), d_dev.reshape(4, n, n)
+    for i, values in enumerate(stack):
+        want_scale, want_diag, want_d = type1_deviations_by_blocks(values)
+        denom = scale[i] if scale[i] > 0 else 1.0
+        assert scale[i] == want_scale
+        assert np.array_equal(diag_dev[i] / denom, want_diag)
+        assert np.array_equal(d_dev[i] / denom, want_d)
+        assert max(diag_dev[i].max(), d_dev[i].max()) / denom == \
+            max(want_diag.max(), want_d.max())
 
 
 def test_inversion_check_classifies_one_inverse(monkeypatch):
