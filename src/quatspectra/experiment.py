@@ -483,13 +483,9 @@ def verify(config: ExperimentConfig) -> VerificationReport:
     Every check but ``type2_inverse`` runs on the draws of ``config``, in
     one pass: each draw is sampled once, and that matrix goes to the
     resolvent checks and through the pipeline once for both bound checks.
-    ``type2_inverse`` runs before that pass, on one BLAS thread, so that no
-    idle thread left spinning by a larger draw bills it CPU time; the report
-    keeps the order of ``checks``.
     """
     config.validate()
     checks = config.checks or KNOWN_CHECKS
-    type2 = _check_type2_inverse(config) if "type2_inverse" in checks else None
     per_draw = [name for name in checks if name != "type2_inverse"]
     counts = dict.fromkeys(per_draw, 0)
     worst = dict.fromkeys(per_draw, 0.0)
@@ -515,7 +511,7 @@ def verify(config: ExperimentConfig) -> VerificationReport:
     results = []
     for name in checks:
         if name == "type2_inverse":
-            results.append(type2)
+            results.append(_check_type2_inverse(config))
             continue
         details = {"checks": counts[name]}
         if name in _WORST_KEYS:

@@ -182,6 +182,11 @@ def _quaternion_shaped(x: np.ndarray, y: np.ndarray) -> np.ndarray:
                      np.stack([-y.conj(), x.conj()], axis=-1)], axis=-2)
 
 
+# The d-mirror q of a 2x2 block p, one entry a row: (r, s, negate, r', s')
+# for q[r, s] = -p[r', s'] if negate else p[r', s'].
+_D_MIRROR = ((0, 0, False, 1, 1), (0, 1, True, 0, 1), (1, 0, True, 1, 0), (1, 1, False, 0, 0))
+
+
 def d_partner(p: np.ndarray) -> np.ndarray:
     """The d-mirror ``[[p22, -p12], [-p21, p11]]`` of a 2x2 block.
 
@@ -189,10 +194,8 @@ def d_partner(p: np.ndarray) -> np.ndarray:
     """
     p = _as_blocks(p)
     out = np.empty_like(p)
-    out[..., 0, 0] = p[..., 1, 1]
-    out[..., 0, 1] = -p[..., 0, 1]
-    out[..., 1, 0] = -p[..., 1, 0]
-    out[..., 1, 1] = p[..., 0, 0]
+    for r, s, negate, r2, s2 in _D_MIRROR:
+        out[..., r, s] = -p[..., r2, s2] if negate else p[..., r2, s2]
     return out
 
 
@@ -257,11 +260,10 @@ def _type1_deviations(values: np.ndarray) -> tuple:
     n = values.shape[-1] // 2
     v = values.reshape(values.shape[:-2] + (n, 2, n, 2))  # v[..., j, r, k, s]
     vt = v.swapaxes(-4, -2)  # entry (r, s) of block (k, j)
-    # Block (k, j) minus the d-mirror [[p11, -p01], [-p10, p00]] of p = block (j, k).
-    d_dev = np.abs(vt[..., 0, :, 0] - v[..., 1, :, 1])
-    for dev in (vt[..., 0, :, 1] + v[..., 0, :, 1], vt[..., 1, :, 0] + v[..., 1, :, 0],
-                vt[..., 1, :, 1] - v[..., 0, :, 0]):
-        np.maximum(d_dev, np.abs(dev), out=d_dev)
+    d_dev = np.zeros(values.shape[:-2] + (n, n))
+    for r, s, negate, r2, s2 in _D_MIRROR:  # block (k, j) minus d_partner(block (j, k))
+        q, p = vt[..., r, :, s], v[..., r2, :, s2]
+        np.maximum(d_dev, np.abs(q + p if negate else q - p), out=d_dev)
     diag = np.arange(n)
     d_dev[..., diag, diag] = 0.0  # not pairs
     diag_dev = _type_t_deviation(np.moveaxis(np.diagonal(v, axis1=-4, axis2=-2), -1, -3))
@@ -526,12 +528,12 @@ def verify_type2_inverse(n: int, trials: int, seed: int, tol: float = 1e-8) -> I
     generator; its normals are, in order, the real and the imaginary parts
     of the ``t_j`` (the imaginary ones before the shift), then those of the
     coefficients, :func:`make_type2`'s ``(n, n, 4)`` array ``coeffs`` in
-    row-major order.  Draws that are numerically too
-    ill-conditioned for the tolerance (condition number above 1e7) are
-    redrawn from the same trial's stream; the count is reported.  Trials
-    run in blocks of a fixed size, each block as stacked arrays, drawn into
-    one buffer: one batched inverse per variant and round of draws,
-    whose Frobenius bound spares most matrices the SVD condition test.
+    row-major order.  Draws that are numerically too ill-conditioned for
+    the tolerance (condition number above 1e7) are redrawn from the same
+    trial's stream; the count is reported.  Trials run in blocks of a fixed
+    size, each block as stacked arrays drawn into one buffer: one batched
+    inverse per variant and round of draws, whose Frobenius bound spares
+    most matrices the SVD condition test.
     Every trial draws from its own stream, seeded by ``(seed, trial)``, so
     the report depends neither on the block size nor on the order in which
     trials run.  ``worst_witness`` is the witness that :func:`classify`

@@ -317,12 +317,15 @@ def invert_by_svd_test(stack: np.ndarray):
 def type1_deviations_by_blocks(values: np.ndarray) -> tuple:
     """``structure._type1_deviations`` of one ``2n x 2n`` matrix, one block at a time.
 
-    Block ``(k, j)`` is compared with ``d_partner`` of block ``(j, k)``, and
-    the deviations are relative to the largest entry modulus (1 for a zero
-    matrix); ``d_dev`` has zeros on its diagonal.
+    Block ``(k, j)`` is compared with the d-mirror ``[[p22, -p12], [-p21, p11]]``
+    of block ``p = (j, k)``, written out here rather than read from the table
+    that ``d_partner`` and the stacked version share, and the deviations are
+    relative to the largest entry modulus (1 for a zero matrix); ``d_dev``
+    has zeros on its diagonal.
     """
     n = values.shape[0] // 2
     block = lambda j, k: values[2 * j:2 * j + 2, 2 * k:2 * k + 2]
+    mirror = lambda p: np.array([[p[1, 1], -p[0, 1]], [-p[1, 0], p[0, 0]]])
     scale = np.abs(values).max()
     denom = scale if scale > 0 else 1.0
     diag_dev = np.zeros(n)
@@ -331,5 +334,5 @@ def type1_deviations_by_blocks(values: np.ndarray) -> tuple:
         diag_dev[j] = np.abs([b[0, 1], b[1, 0], b[0, 0] - b[1, 1]]).max() / denom
     d_dev = np.zeros((n, n))
     for j, k in itertools.permutations(range(n), 2):
-        d_dev[j, k] = np.abs(block(k, j) - structure.d_partner(block(j, k))).max() / denom
+        d_dev[j, k] = np.abs(block(k, j) - mirror(block(j, k))).max() / denom
     return scale, diag_dev, d_dev

@@ -397,7 +397,7 @@ def test_draws_below_the_threshold_run_on_one_blas_thread(tmp_path, monkeypatch)
     assert seen == [(small, 1), (large, 4)] and state["threads"] == 4
     seen.clear()
     assert verify(config).all_passed()
-    assert seen == [("type2", 1), ("type2", 1), (small, 1), (large, 4)]
+    assert seen == [(small, 1), (large, 4), ("type2", 1), ("type2", 1)]
     assert state["threads"] == 4
 
 
@@ -750,26 +750,6 @@ def test_verify_one_pass_matches_single_check_runs():
         assert verify(config).checks == [result]
     config.checks = tuple(reversed(KNOWN_CHECKS))
     assert verify(config).checks == full[::-1]
-
-
-def test_verify_runs_the_inversion_check_before_any_draw(monkeypatch):
-    # Computed first, reported where the config lists it.
-    config = default_verify_config(seed=2)
-    config.sizes, config.trials_per_size = [4, 8], 1
-    config.check_params["inversion_trials"] = 16
-    config.checks = ("resolvent_structure", "type2_inverse", "rank_bounds")
-    singles = []
-    for name in config.checks:
-        singles += verify(replace(config, checks=(name,))).to_json()["checks"]
-    calls = []
-    sample, type2 = experiment.sample_general, experiment.verify_type2_inverse
-    monkeypatch.setattr(experiment, "sample_general",
-                        lambda spec: calls.append("sample") or sample(spec))
-    monkeypatch.setattr(experiment, "verify_type2_inverse",
-                        lambda *args, **kwargs: calls.append("type2") or type2(*args, **kwargs))
-    payload = verify(config).to_json()
-    assert json.dumps(payload) == json.dumps({"passed": True, "checks": singles})
-    assert calls.index("sample") == calls.count("type2") == 8
 
 
 def test_verify_records_a_failing_bound_entry_under_both_checks(monkeypatch):
