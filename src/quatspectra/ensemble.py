@@ -72,6 +72,14 @@ def _is_real(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
+def _is_finite(value) -> bool:
+    """A real number a float holds finitely: not NaN or infinite, nor an int past float range."""
+    try:
+        return _is_real(value) and math.isfinite(value)
+    except OverflowError:
+        return False
+
+
 # ---------------------------------------------------------------------------
 # entry distributions
 # ---------------------------------------------------------------------------
@@ -86,6 +94,7 @@ class Distribution:
     """
 
     kind = "base"
+    param_names: tuple = ()  # constructor arguments, the law's JSON params
 
     def sample_coeffs(self, rng: np.random.Generator, size: int) -> np.ndarray:
         out = np.empty((size, 4))
@@ -121,7 +130,7 @@ class Distribution:
         return None
 
     def params(self) -> dict:
-        return {}
+        return {name: getattr(self, name) for name in self.param_names}
 
     def to_json(self) -> dict:
         return {"kind": self.kind, "params": self.params()}
@@ -217,15 +226,19 @@ class TwoPointCoefficients(Distribution):
     """
 
     kind = "two_point"
+    param_names = ("lo", "hi", "p")
 
     def __init__(self, lo: float, hi: float, p: float):
         self.lo = float(lo)
         self.hi = float(hi)
         self.p = float(p)
         mean = self.p * self.hi + (1.0 - self.p) * self.lo
-        var = self.p * self.hi**2 + (1.0 - self.p) * self.lo**2 - mean**2
+        try:
+            var = self.p * self.hi**2 + (1.0 - self.p) * self.lo**2 - mean**2
+        except OverflowError:  # a float cannot hold the variance
+            var = math.inf
         self._mean = mean
-        self._scale = 0.5 / math.sqrt(var) if var > 0 else float("nan")
+        self._scale = 0.5 / math.sqrt(var) if 0 < var < math.inf else float("nan")
 
     def validate(self):
         if not 0.0 < self.p < 1.0:
@@ -235,7 +248,8 @@ class TwoPointCoefficients(Distribution):
             raise SpecError(
                 f"two-point law has nonzero mean {self._mean:.3g}; shift it to zero first")
         if not math.isfinite(self._scale):
-            raise SpecError("two-point law has zero variance; cannot normalize")
+            raise SpecError("two-point law has zero or unrepresentable variance; "
+                            "cannot normalize")
 
     def _values(self):
         return np.array([self.lo, self.hi]) * self._scale
@@ -283,9 +297,6 @@ class TwoPointCoefficients(Distribution):
         probs = self._probs()
         outside = np.abs(vals) >= c
         return float((vals**2 * probs * outside).sum())
-
-    def params(self):
-        return {"lo": self.lo, "hi": self.hi, "p": self.p}
 
 
 class UserCoefficients(Distribution):
@@ -348,16 +359,24 @@ _BUILTINS = {
 
 def distribution_from_json(obj: dict) -> Distribution:
     """Built-in law from ``{"kind": ..., "params": {...}}``; casts nothing."""
+    if not isinstance(obj, dict):
+        raise SpecError(f"distribution must be an object, got {obj!r}")
     kind = obj.get("kind")
-    if kind not in _BUILTINS:
+    if not (isinstance(kind, str) and kind in _BUILTINS):
         raise SpecError(f"unknown distribution kind {kind!r}")
     unknown = obj.keys() - {"kind", "params"}
     if unknown:
         raise SpecError(f"unknown distribution keys {sorted(unknown)}")
     params = obj.get("params", {})
-    if not (isinstance(params, dict) and all(map(_is_real, params.values()))):
-        raise SpecError(f"distribution params must map names to numbers, got {params!r}")
-    return _BUILTINS[kind](**params)
+    if not (isinstance(params, dict) and all(isinstance(value, float) or _is_finite(value)
+                                             for value in params.values())):
+        raise SpecError(f"distribution params must map names to numbers a float holds, "
+                        f"got {params!r}")
+    law = _BUILTINS[kind]
+    if params.keys() != set(law.param_names):
+        raise SpecError(f"a {kind} law takes the params {list(law.param_names)}, "
+                        f"got {sorted(params)}")
+    return law(**params)
 
 
 # ---------------------------------------------------------------------------
@@ -391,8 +410,11 @@ class EtaSchedule:
     @classmethod
     def from_json(cls, obj: dict) -> "EtaSchedule":
         """Inverse of :meth:`to_json`; an absent kind or exponent takes the default."""
+        if not isinstance(obj, dict):
+            raise SpecError(f"eta schedule must be an object, got {obj!r}")
         kind = obj.get("kind", "power")
-        key = {"power": "exponent", "constant": "value"}.get(kind)
+        key = {"power": "exponent", "constant": "value"}.get(kind) \
+            if isinstance(kind, str) else None
         if key is None:
             raise SpecError(f"unknown eta schedule kind {kind!r}")
         unknown = obj.keys() - {"kind", key}
@@ -400,6 +422,8 @@ class EtaSchedule:
             raise SpecError(f"unknown keys {sorted(unknown)} in a {kind} eta schedule")
         if kind == "power":
             return cls("power", obj.get("exponent", cls.value))
+        if "value" not in obj:
+            raise SpecError("a constant eta schedule needs a value")
         return cls("constant", obj["value"])
 
 
@@ -420,7 +444,7 @@ class EnsembleSpec:
         eta = self.eta
         if eta.kind not in ("power", "constant"):
             raise SpecError(f"unknown eta schedule kind {eta.kind!r}")
-        if not (_is_real(eta.value) and math.isfinite(eta.value)) \
+        if not _is_finite(eta.value) \
                 or (eta.kind == "constant" and not eta.value > 0):
             raise SpecError(f"eta schedule value must be a finite number (positive when "
                             f"constant), got {eta.kind} {eta.value!r}")
@@ -439,10 +463,15 @@ class EnsembleSpec:
 
     @classmethod
     def from_json(cls, obj: dict) -> "EnsembleSpec":
+        if not isinstance(obj, dict):
+            raise SpecError(f"ensemble must be an object, got {obj!r}")
         # "diagonal_bound" is a setting that no longer exists; old files keep it.
         unknown = obj.keys() - {"n", "distribution", "seed", "eta", "diagonal_bound"}
         if unknown:
             raise SpecError(f"unknown ensemble keys {sorted(unknown)}")
+        missing = {"n", "distribution", "seed"} - obj.keys()
+        if missing:
+            raise SpecError(f"ensemble needs the keys {sorted(missing)}")
         return cls(
             n=obj["n"],
             distribution=distribution_from_json(obj["distribution"]),

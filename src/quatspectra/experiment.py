@@ -114,10 +114,16 @@ class ExperimentConfig:
         if not _is_count(self.trials_per_size):
             raise ConfigError(f"trials_per_size must be an integer >= 1, "
                               f"got {self.trials_per_size!r}")
+        labels = {}  # each point's CSV column label: one column per point
         for z in self.z_grid:
             if not (isinstance(z, complex) and cmath.isfinite(z) and z.imag > 0):
                 raise ConfigError(f"z grid point {z!r} is not a finite point "
                                   "of the upper half plane")
+            label = stieltjes_label(z)
+            if label in labels:
+                raise ConfigError(f"z grid points {labels[label]!r} and {z!r} share "
+                                  f"the column label {label}")
+            labels[label] = z
         for name, value in (("pipeline", self.pipeline), ("histograms", self.histograms)):
             if not isinstance(value, bool):
                 raise ConfigError(f"{name} must be true or false, got {value!r}")
@@ -337,7 +343,14 @@ def _run_trial(config: ExperimentConfig, hist_dir, draw) -> ConvergenceRow:
 
 
 def run(config: ExperimentConfig, jobs: int = 1) -> list:
-    """Execute the sweep; rows are sorted by (n, trial) and deterministic."""
+    """Execute the sweep; rows are sorted by (n, trial) and deterministic.
+
+    Draws run largest n first, in trial order within a size, in-process and
+    in the pool alike.  The largest draw takes its memory first and every
+    smaller one reuses what it freed, so a sweep peaks at one draw of its
+    largest n; a pool gets its longest tasks first, and a size that does not
+    fit fails on the first draw instead of the last.
+    """
     config.validate()
     if not _is_count(jobs):
         raise ConfigError(f"jobs must be an integer >= 1, got {jobs!r}")
@@ -346,17 +359,29 @@ def run(config: ExperimentConfig, jobs: int = 1) -> list:
         hist_dir = str(Path(config.output_path).resolve().parent)
         Path(hist_dir).mkdir(parents=True, exist_ok=True)
     trial_fn = functools.partial(_run_trial, config, hist_dir)
-    workers = min(jobs, len(config.sizes) * config.trials_per_size)  # no idle worker
+    draws = sorted(_draws(config), key=lambda draw: -draw[1].n)  # stable: trials keep order
+    workers = min(jobs, len(draws))  # no idle worker
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor  # loaded only for a pool
         threads = spectra._GET_THREADS() if spectra._GET_THREADS else 1  # shared by the workers
         with ProcessPoolExecutor(max_workers=workers, initializer=_pin_blas_threads,
                                  initargs=(max(1, threads // workers),)) as pool:
-            rows = list(pool.map(trial_fn, _draws(config)))
+            rows = list(pool.map(trial_fn, draws))
     else:
-        rows = [trial_fn(draw) for draw in _draws(config)]
+        rows = [trial_fn(draw) for draw in draws]
     rows.sort(key=lambda r: (r.n, r.trial))
     return rows
+
+
+def _finite_or_null(value):
+    """``value`` with every non-finite float in it replaced by None."""
+    if isinstance(value, dict):
+        return {key: _finite_or_null(item) for key, item in value.items()}
+    if isinstance(value, list):
+        return [_finite_or_null(item) for item in value]
+    if isinstance(value, float) and not math.isfinite(value):
+        return None
+    return value
 
 
 def emit(rows, output_format: str, path) -> Path:
@@ -364,7 +389,9 @@ def emit(rows, output_format: str, path) -> Path:
 
     CSV columns: ``n, seed, kolmogorov, levy`` then one ``serr_*`` column per
     transform point, in the z-grid order.  Floats are written with ``repr``
-    so reruns of the same configuration are byte-identical.
+    so reruns of the same configuration are byte-identical.  The JSON is
+    standard: a non-finite float, such as a failed draw's distances, is
+    ``null`` there (the CSV keeps ``nan``).
     """
     if not rows:
         raise ValueError("rows must be nonempty")
@@ -382,7 +409,8 @@ def emit(rows, output_format: str, path) -> Path:
                 ])
     elif output_format == "json":
         with open(path, "w") as fh:
-            json.dump([row.to_json() for row in rows], fh, indent=2)
+            json.dump([_finite_or_null(row.to_json()) for row in rows], fh, indent=2,
+                      allow_nan=False)
             fh.write("\n")
     else:
         raise ConfigError(f"unknown output format {output_format!r}")

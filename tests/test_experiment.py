@@ -103,6 +103,21 @@ def test_config_validation_errors(tmp_path):
             small_config(tmp_path, check_params=params).validate()
 
 
+def test_z_grid_points_sharing_a_label_are_rejected(tmp_path):
+    # 1j and 1.0000001j both format as "im1": they would merge into one column.
+    with pytest.raises(ConfigError, match=r"1j and 1\.0000001j share the column label "
+                                          "serr_re0_im1"):
+        small_config(tmp_path, z_grid=[1j, 1.0000001j, 2j, 2j]).validate()
+    with pytest.raises(ConfigError, match=r"2j and 2j share"):
+        small_config(tmp_path, z_grid=[2j] * 2).validate()
+    small_config(tmp_path, z_grid=[1j, 1.00001j, 2j]).validate()  # im1, im1.00001, im2
+    cfg_path = tmp_path / "config.json"
+    obj = small_config(tmp_path).to_json()
+    cfg_path.write_text(json.dumps({**obj, "z_grid": [[0, 1], [0, 1.0000001]]}))
+    assert main(["sweep", "--config", str(cfg_path)]) == 2
+    assert not (tmp_path / "sweep.csv").exists()
+
+
 def test_config_json_roundtrip(tmp_path):
     config = small_config(tmp_path, pipeline=True, checks=("levy_bounds",),
                           histograms=True)
@@ -172,7 +187,7 @@ _CONFIGS = st.builds(
     sizes=st.lists(st.integers(1, 10**4), min_size=1, max_size=4, unique=True).map(sorted),
     trials_per_size=st.integers(1, 100),
     z_grid=st.lists(st.builds(complex, _FINITE, st.floats(min_value=1e-6, max_value=1e6)),
-                    max_size=4),
+                    max_size=4, unique_by=stieltjes_label),
     pipeline=st.booleans(),
     checks=st.lists(st.sampled_from(KNOWN_CHECKS), unique=True).map(tuple),
     output_path=st.text(max_size=8),
@@ -191,6 +206,96 @@ def test_config_json_roundtrip_property(config):
     config.validate()
     text = json.dumps(config.to_json())
     assert json.dumps(ExperimentConfig.from_json(json.loads(text)).to_json()) == text
+
+
+_HUGE = 10**400  # beyond float range
+
+
+@pytest.mark.parametrize("load, obj", [
+    (EtaSchedule.from_json, {"kind": "constant"}),
+    (EtaSchedule.from_json, 3),
+    (EtaSchedule.from_json, {"kind": ["power"]}),
+    (EnsembleSpec.from_json, {"distribution": {"kind": "gse"}, "seed": 0}),
+    (EnsembleSpec.from_json, {"n": 4, "distribution": {"kind": "gse"}}),
+    (EnsembleSpec.from_json, [4, {"kind": "gse"}, 0]),
+    (distribution_from_json, {"kind": "two_point", "params": {"lo": -1.0, "hi": 1.0}}),
+    (distribution_from_json, {"kind": "gse", "params": {"p": 0.5}}),
+    (distribution_from_json, {"kind": {}}),
+    (distribution_from_json, "gse"),
+    (distribution_from_json, {"kind": "two_point",
+                              "params": {"lo": -_HUGE, "hi": 1.0, "p": 0.5}}),
+    (lambda obj: distribution_from_json(obj).validate(),
+     {"kind": "two_point", "params": {"lo": -1e200, "hi": 1e200, "p": 0.5}}),
+], ids=["constant_eta_without_value", "eta_not_an_object", "unhashable_eta_kind",
+        "ensemble_without_n", "ensemble_without_seed", "ensemble_as_list",
+        "two_point_without_p", "gse_with_a_param", "unhashable_kind",
+        "distribution_not_an_object", "two_point_param_past_float_range",
+        "two_point_variance_past_float_range"])
+def test_entry_points_raise_spec_error(load, obj):
+    with pytest.raises(SpecError):
+        load(obj)
+
+
+@pytest.mark.parametrize("eta", [{"kind": "power", "exponent": _HUGE},
+                                 {"kind": "constant", "value": _HUGE},
+                                 {"kind": "constant", "value": -_HUGE}])
+def test_an_eta_value_past_float_range_exits_two(tmp_path, capsys, eta):
+    obj = small_config(tmp_path).to_json()
+    obj["ensemble"]["eta"] = eta
+    with pytest.raises(SpecError, match="eta schedule value must be a finite number"):
+        ExperimentConfig.from_json(obj)
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps(obj))  # the int is written out in full
+    assert "1" + "0" * 400 in cfg_path.read_text()
+    assert main(["sweep", "--config", str(cfg_path)]) == 2
+    assert "error: eta schedule value" in capsys.readouterr().err
+    assert not (tmp_path / "sweep.csv").exists()
+
+
+def _key_paths(obj, path=()):
+    """Paths of every value in a JSON value: object keys and list indices."""
+    items = obj.items() if isinstance(obj, dict) else \
+        enumerate(obj) if isinstance(obj, list) else ()
+    return [p for key, value in items
+            for p in [path + (key,), *_key_paths(value, path + (key,))]]
+
+
+_ANY_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers(-10**400, 10**400) | st.floats()
+    | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner,
+                                                                 max_size=3),
+    max_leaves=6)
+
+
+def _loads_or_raises(load, obj, errors):
+    try:
+        load(obj)
+    except errors:
+        pass
+
+
+@settings(max_examples=200, deadline=None)
+@given(_CONFIGS, _ANY_JSON)
+def test_config_entry_points_raise_only_typed_errors(config, value):
+    # One JSON value at each key of a valid config in turn: it loads, or the
+    # loader raises its typed error, never a KeyError, TypeError or
+    # OverflowError.  The ensemble's loaders also get the value itself.
+    for loader in (EnsembleSpec.from_json, distribution_from_json, EtaSchedule.from_json):
+        _loads_or_raises(loader, value, SpecError)
+    valid = config.to_json()
+    for path in _key_paths(valid):
+        obj = copy.deepcopy(valid)  # to_json shares check_params with the config
+        target = obj
+        for key in path[:-1]:
+            target = target[key]
+        target[path[-1]] = value
+        _loads_or_raises(ExperimentConfig.from_json, obj, (ConfigError, SpecError))
+        spec = obj["ensemble"]
+        _loads_or_raises(EnsembleSpec.from_json, spec, SpecError)
+        if isinstance(spec, dict) and path[:1] == ("ensemble",):
+            _loads_or_raises(distribution_from_json, spec.get("distribution"), SpecError)
+            _loads_or_raises(EtaSchedule.from_json, spec.get("eta", {}), SpecError)
 
 
 def _is_int(value):
@@ -372,6 +477,49 @@ def test_run_jobs_reproduce_serial_rows_by_size(tmp_path):
             assert s == p
 
 
+def record_trials(monkeypatch):
+    """Record the ``(n, trial)`` of every draw ``run`` hands ``_run_trial``."""
+    seen = []
+    real = experiment._run_trial
+
+    def recording(config, hist_dir, draw):
+        seen.append((draw[1].n, draw[0]))
+        return real(config, hist_dir, draw)
+
+    monkeypatch.setattr(experiment, "_run_trial", recording)
+    return seen
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_run_hands_out_the_largest_draws_first(tmp_path, monkeypatch, jobs):
+    # n descending, trials ascending within a size, in-process and in a pool
+    # (run in-process here); the rows stay in (n, trial) order.
+    pools = _inline_pools(monkeypatch, 2)
+    seen = record_trials(monkeypatch)
+    config = small_config(tmp_path, sizes=[4, 8, 12])
+    rows = run(config, jobs=jobs)
+    assert seen == [(12, 0), (12, 1), (8, 0), (8, 1), (4, 0), (4, 1)]
+    assert [(r.n, r.trial) for r in rows] == sorted(seen)
+    assert len(pools) == (jobs > 1)
+
+
+def test_run_rows_are_the_trials_in_draw_order(tmp_path):
+    # Running largest first changes no row and no histogram: each is what
+    # _run_trial gives for that draw on its own, in _draws order.
+    config = small_config(tmp_path, sizes=[3, 6, 9], histograms=True, pipeline=True,
+                          checks=("resolvent_structure",))
+    got = [r.to_json() for r in run(config)]
+    alone = tmp_path / "alone"
+    alone.mkdir()
+    want = [experiment._run_trial(config, str(alone), draw).to_json()
+            for draw in experiment._draws(config)]
+    assert json.dumps(got) == json.dumps(want)
+    names = sorted(p.name for p in alone.iterdir())
+    assert len(names) == 6
+    assert all((tmp_path / name).read_bytes() == (alone / name).read_bytes()
+               for name in names)
+
+
 def test_draws_below_the_threshold_run_on_one_blas_thread(tmp_path, monkeypatch):
     state = {"threads": 4}
     monkeypatch.setattr(spectra, "_GET_THREADS", lambda: state["threads"])
@@ -394,7 +542,7 @@ def test_draws_below_the_threshold_run_on_one_blas_thread(tmp_path, monkeypatch)
                           checks=("type2_inverse", "resolvent_structure"),
                           check_params={"inversion_dims": [1, 2], "inversion_trials": 2})
     run(config)
-    assert seen == [(small, 1), (large, 4)] and state["threads"] == 4
+    assert seen == [(large, 4), (small, 1)] and state["threads"] == 4
     seen.clear()
     assert verify(config).all_passed()
     assert seen == [(small, 1), (large, 4), ("type2", 1), ("type2", 1)]
@@ -647,6 +795,35 @@ def test_emit_json_roundtrip(tmp_path):
     path = emit(rows, "json", tmp_path / "rows.json")
     parsed = json.loads(path.read_text())
     assert parsed == [r.to_json() for r in rows]
+
+
+def _no_constant(token):
+    raise ValueError(f"non-standard JSON token {token}")
+
+
+def test_emit_json_writes_a_failed_draw_as_null(tmp_path, monkeypatch):
+    config = small_config(tmp_path, pipeline=True)
+    bad_seed = trial_seed(5, 8, 0)
+    sample = experiment.sample_general
+
+    def failing(spec):
+        if spec.seed == bad_seed:
+            raise SpecError("injected failure")
+        return sample(spec)
+
+    monkeypatch.setattr(experiment, "sample_general", failing)
+    rows = run(config)
+    path = emit(rows, "json", tmp_path / "rows.json")
+    parsed = json.loads(path.read_text(), parse_constant=_no_constant)
+    failed = parsed[2]
+    assert (failed["n"], failed["trial"]) == (8, 0)
+    assert failed["kolmogorov"] is failed["levy"] is None
+    assert set(failed["stieltjes_errors"].values()) == {None}
+    assert failed["check_failures"] == ["sample error: injected failure"]
+    assert [row for i, row in enumerate(parsed) if i != 2] == \
+        [r.to_json() for i, r in enumerate(rows) if i != 2]
+    csv_text = emit(rows, "csv", tmp_path / "rows.csv").read_text()
+    assert csv_text.splitlines()[3].endswith("nan,nan,nan,nan")
 
 
 def test_emit_rejects_empty():
