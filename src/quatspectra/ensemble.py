@@ -229,6 +229,8 @@ class TwoPointCoefficients(Distribution):
     param_names = ("lo", "hi", "p")
 
     def __init__(self, lo: float, hi: float, p: float):
+        if not all(isinstance(v, float) or _is_finite(v) for v in (lo, hi, p)):
+            raise SpecError(f"two-point params must be numbers a float holds, got {(lo, hi, p)!r}")
         self.lo = float(lo)
         self.hi = float(hi)
         self.p = float(p)
@@ -605,7 +607,7 @@ def lindeberg_statistic(spec: EnsembleSpec, eta: float) -> float:
     Monte Carlo draws from an offset stream of ``spec.seed``.
     """
     spec.validate()
-    if not (eta > 0 and math.isfinite(eta)):
+    if not (_is_finite(eta) and eta > 0):
         raise SpecError(f"eta must be positive and finite, got {eta}")
     n = spec.n
     c = eta * math.sqrt(n)
@@ -689,7 +691,7 @@ def truncate(w: SelfDualMatrix, eta_n: float):
     complex rank of the embedded difference: at most 4 per off-diagonal pair
     and 2 per diagonal entry, and at most 2 per touched quaternion row.
     """
-    if not (eta_n > 0 and math.isfinite(eta_n)):
+    if not (_is_finite(eta_n) and eta_n > 0):
         raise SpecError(f"eta_n must be positive and finite, got {eta_n}")
     n = w.n
     threshold = eta_n * math.sqrt(n) * w.scale  # comparison on stored (scaled) norms
@@ -785,7 +787,7 @@ def rescale(w: SelfDualMatrix, sigma_sq: float, seed: int):
     an offset stream of ``seed`` and noted in the record.  The diagonal is
     left untouched (it is zeroed by its own stage).
     """
-    if not math.isfinite(sigma_sq):
+    if not _is_finite(sigma_sq):
         raise SpecError(f"sigma_sq must be finite, got {sigma_sq}")
     n = w.n
     idx = np.arange(n)

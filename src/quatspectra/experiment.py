@@ -11,7 +11,7 @@ identical regardless of scheduling.
 from __future__ import annotations
 
 import cmath
-import contextlib
+import copy
 import csv
 import functools
 import hashlib
@@ -50,9 +50,6 @@ KNOWN_CHECKS = ("type2_inverse", "resolvent_structure", "trace_minor",
                 "levy_bounds", "rank_bounds")
 # The type2_inverse check's parameters and their defaults.
 _CHECK_PARAMS = {"inversion_dims": list(range(1, 9)), "inversion_trials": 1000}
-# Draws of order below this run on one BLAS thread: there a second thread
-# gains no wall time but busy-waits (2-core timings in CHANGES.md).
-_ONE_THREAD_BELOW = 128
 
 
 class ConfigError(ValueError):
@@ -162,7 +159,7 @@ class ExperimentConfig:
             "output": {"path": self.output_path, "format": self.output_format},
             "histograms": self.histograms,
             "check_tol": self.check_tol,
-            "check_params": self.check_params,
+            "check_params": copy.deepcopy(self.check_params),
         }
 
     @classmethod
@@ -231,11 +228,6 @@ def _draws(config: ExperimentConfig):
             yield trial, replace(base, n=n, seed=trial_seed(base.seed, n, trial))
 
 
-def _draw_threads(n: int):
-    """One BLAS thread for a draw of order ``n`` below ``_ONE_THREAD_BELOW``, else the process's."""
-    return spectra._blas_threads(1) if n < _ONE_THREAD_BELOW else contextlib.nullcontext()
-
-
 def _pin_blas_threads(count: int) -> None:
     """Pool initializer: a worker keeps ``count`` BLAS threads for its lifetime."""
     if spectra._SET_THREADS:
@@ -298,7 +290,7 @@ def _run_trial(config: ExperimentConfig, hist_dir, draw) -> ConvergenceRow:
     stage, summary, sample = "sample", None, None
     kolmogorov = levy = math.nan
     serrs = dict.fromkeys(map(stieltjes_label, config.z_grid), math.nan)
-    with _draw_threads(n):
+    with spectra._draw_threads(n):
         try:
             w = sample_general(spec)
             if config.pipeline:
@@ -313,7 +305,7 @@ def _run_trial(config: ExperimentConfig, hist_dir, draw) -> ConvergenceRow:
                 checks.append(f"check error: {exc}")
             stage = "eigensolve"
             sample = SpectralSample.from_matrix(w, overwrite=True)
-        except (ValueError, np.linalg.LinAlgError) as exc:
+        except (ValueError, MemoryError, np.linalg.LinAlgError) as exc:
             # one bad draw must not abort the sweep: its row keeps NaN distances
             failures.append(f"{stage} error: {exc}")
         else:
@@ -447,7 +439,7 @@ def _check_type2_inverse(config: ExperimentConfig) -> CheckResult:
     params = {**_CHECK_PARAMS, **config.check_params}
     dims = params["inversion_dims"]
     per_dim = -(-params["inversion_trials"] // len(dims))  # ceil division
-    with _draw_threads(max(dims)):
+    with spectra._draw_threads(max(dims)):
         reports = [verify_type2_inverse(n, per_dim, seed=config.ensemble.seed + n,
                                         tol=config.check_tol)
                    for n in dims]
@@ -519,7 +511,7 @@ def verify(config: ExperimentConfig) -> VerificationReport:
     worst = dict.fromkeys(per_draw, 0.0)
     failures = {name: [] for name in per_draw}
     for _, spec in _draws(config) if per_draw else ():
-        with _draw_threads(spec.n):
+        with spectra._draw_threads(spec.n):
             w = sample_general(spec)
             if _WORST_KEYS.keys() & counts.keys():
                 for name, z, passed, value, failure in _resolvent_checks(w, config, checks):

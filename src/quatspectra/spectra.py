@@ -22,7 +22,7 @@ from typing import Optional
 
 import numpy as np
 
-from .ensemble import _CONJ_SIGNS, SelfDualMatrix
+from .ensemble import _CONJ_SIGNS, SelfDualMatrix, _is_finite
 from .structure import BlockMatrix, StructureReport, _as_matrix, classify
 
 __all__ = [
@@ -68,8 +68,16 @@ class PairingError(ValueError):
     """Sorted eigenvalues do not split into near-degenerate pairs."""
 
 
+def _complex(z) -> complex:
+    """``complex(z)``, with an int past float range as infinite, which callers reject."""
+    try:
+        return complex(z)
+    except OverflowError:
+        return complex(math.inf)
+
+
 def _upper_half_plane(z) -> complex:
-    z = complex(z)
+    z = _complex(z)
     if not (cmath.isfinite(z) and z.imag > 0):
         raise DomainError(f"z must be finite with Im z > 0, got {z}")
     return z
@@ -133,10 +141,11 @@ _DSTERF = _load_symbol("scipy_LAPACKE_dsterf64_", _INT, _INT, _PTR, _PTR)
 _GET_THREADS = _load_symbol("scipy_openblas_get_num_threads64_", ctypes.c_int)
 _SET_THREADS = _load_symbol("scipy_openblas_set_num_threads64_", None, ctypes.c_int)
 _TILE = 128  # side of the square tiles in which the Hermitian input check reads
-# Self-dual order n from which SpectralSample takes the quaternion reduction
-# (per-draw timings in CHANGES.md), and the reflectors per panel there.
-_QUAT_MIN = 256
-_NB = 8
+# The one size rule for a draw of self-dual order n: from _QUAT_MIN up it takes the
+# quaternion reduction, whose bits do not depend on the BLAS thread count; below it
+# it runs on one thread, as a second gains no wall time (timings in CHANGES.md).
+_QUAT_MIN = 128
+_NB = 8  # reflectors per panel of the quaternion reduction
 
 
 @contextlib.contextmanager
@@ -151,6 +160,11 @@ def _blas_threads(count: int):
     finally:
         if before != count:
             _SET_THREADS(before)
+
+
+def _draw_threads(n: int):
+    """One BLAS thread for a draw of order ``n`` below ``_QUAT_MIN``, else the process's."""
+    return _blas_threads(1) if n < _QUAT_MIN else contextlib.nullcontext()
 
 
 def _hermitian_residual(A: np.ndarray):
@@ -392,7 +406,7 @@ class StieltjesPoint:
 
 def semicircle_pdf(x, sigma: float = 1.0):
     """Semicircle density ``sqrt(4 sigma^2 - x^2) / (2 pi sigma^2)`` on [-2 sigma, 2 sigma]."""
-    if not (sigma > 0 and math.isfinite(sigma)):
+    if not (_is_finite(sigma) and sigma > 0):
         raise ValueError(f"sigma must be positive and finite, got {sigma}")
     x = np.asarray(x, dtype=float)
     out = np.zeros_like(x)
@@ -403,7 +417,7 @@ def semicircle_pdf(x, sigma: float = 1.0):
 
 def semicircle_cdf(x, sigma: float = 1.0):
     """Closed-form semicircle CDF, clamped to {0, 1} outside the support."""
-    if not (sigma > 0 and math.isfinite(sigma)):
+    if not (_is_finite(sigma) and sigma > 0):
         raise ValueError(f"sigma must be positive and finite, got {sigma}")
     x = np.asarray(x, dtype=float)
     xc = np.clip(x, -2.0 * sigma, 2.0 * sigma)
@@ -528,7 +542,7 @@ def resolvent(m, z: complex) -> BlockMatrix:
     ValueError
         If ``m`` is not square or has a non-finite entry.
     """
-    z = complex(z)
+    z = _complex(z)
     if not (cmath.isfinite(z) and z.imag != 0):
         raise DomainError(f"z must be finite and off the real axis, got {z}")
     A = _square_matrix(m)

@@ -127,6 +127,29 @@ def test_config_json_roundtrip(tmp_path):
         ExperimentConfig.from_json({"sizes": [2]})
 
 
+def _edit_in_place(value):
+    """Add an item to every list and dict inside ``value``."""
+    if isinstance(value, dict):
+        for item in list(value.values()):
+            _edit_in_place(item)
+        value["edited"] = True
+    elif isinstance(value, list):
+        for item in value:
+            _edit_in_place(item)
+        value.append("edited")
+
+
+def test_config_to_json_hands_out_its_own_copy(tmp_path):
+    config = small_config(tmp_path, pipeline=True, checks=("levy_bounds",),
+                          check_params={"inversion_dims": [1, 2], "inversion_trials": 4})
+    want = json.dumps(config.to_json())
+    obj = config.to_json()
+    _edit_in_place(obj)
+    assert "edited" in obj["check_params"]["inversion_dims"]
+    assert json.dumps(config.to_json()) == want
+    config.validate()
+
+
 @pytest.mark.parametrize("change", [
     {"trails_per_size": 5},
     {"pipeline": "false"},
@@ -285,7 +308,7 @@ def test_config_entry_points_raise_only_typed_errors(config, value):
         _loads_or_raises(loader, value, SpecError)
     valid = config.to_json()
     for path in _key_paths(valid):
-        obj = copy.deepcopy(valid)  # to_json shares check_params with the config
+        obj = config.to_json()  # a fresh copy, for this edit alone
         target = obj
         for key in path[:-1]:
             target = target[key]
@@ -450,31 +473,17 @@ needs_thread_symbols = pytest.mark.skipif(
     reason="numpy's OpenBLAS exports no thread-count functions")
 
 
-def _close_rows(a, b, rel):
-    """Rows equal but for numbers within ``rel`` of each other."""
-    if isinstance(a, dict):
-        return a.keys() == b.keys() and all(_close_rows(a[k], b[k], rel) for k in a)
-    if isinstance(a, list):
-        return len(a) == len(b) and all(_close_rows(x, y, rel) for x, y in zip(a, b))
-    if isinstance(a, float):
-        return a == b or abs(a - b) <= rel * max(abs(a), abs(b))
-    return a == b
-
-
 def test_run_jobs_reproduce_serial_rows_by_size(tmp_path):
-    # Exact where the thread count is fixed (n < 128) or does not matter (the
-    # quaternion route, n >= 256); within rel 1e-9 on the embedding between.
-    sizes = [40, 160, spectra._QUAT_MIN]
+    # Exact at every size: below _QUAT_MIN a draw runs on one BLAS thread, and
+    # from it the quaternion route gives the same bits at any thread count.
+    quat_min = spectra._QUAT_MIN
+    sizes = [quat_min - 1, quat_min, 200, 256]
     config = small_config(tmp_path, sizes=sizes, pipeline=True,
                           checks=("resolvent_structure", "trace_minor"))
-    serial = [r.to_json() for r in run(config, jobs=1)]
-    parallel = [r.to_json() for r in run(config, jobs=2)]
-    assert [r["n"] for r in serial] == [r["n"] for r in parallel] == [40, 40, 160, 160, 256, 256]
-    for s, p in zip(serial, parallel):
-        if experiment._ONE_THREAD_BELOW <= s["n"] < spectra._QUAT_MIN:
-            assert _close_rows(s, p, 1e-9), (s, p)
-        else:
-            assert s == p
+    serial = json.dumps([r.to_json() for r in run(config, jobs=1)])
+    parallel = json.dumps([r.to_json() for r in run(config, jobs=2)])
+    assert [r["n"] for r in json.loads(serial)] == [n for n in sizes for _ in range(2)]
+    assert serial == parallel
 
 
 def record_trials(monkeypatch):
@@ -537,7 +546,7 @@ def test_draws_below_the_threshold_run_on_one_blas_thread(tmp_path, monkeypatch)
 
     monkeypatch.setattr(experiment, "sample_general", recording_sample)
     monkeypatch.setattr(experiment, "verify_type2_inverse", recording_type2)
-    small, large = experiment._ONE_THREAD_BELOW - 1, experiment._ONE_THREAD_BELOW
+    small, large = spectra._QUAT_MIN - 1, spectra._QUAT_MIN
     config = small_config(tmp_path, sizes=[small, large], trials_per_size=1, z_grid=[1j],
                           checks=("type2_inverse", "resolvent_structure"),
                           check_params={"inversion_dims": [1, 2], "inversion_trials": 2})
@@ -707,6 +716,30 @@ def test_run_records_a_failed_draw_and_keeps_going(tmp_path, monkeypatch, stage,
     cfg_path.write_text(json.dumps(config.to_json()))
     assert main(["sweep", "--config", str(cfg_path)]) == 1
     assert len(Path(config.output_path).read_text().splitlines()) == 5
+
+
+def test_run_records_a_memory_error_and_verify_raises_it(tmp_path, monkeypatch):
+    # A size too large for memory loses its own rows, not the sweep; it is
+    # the largest, so its draws run first.  verify has no failed-draw rows.
+    config = small_config(tmp_path, pipeline=True, checks=("resolvent_structure",))
+    clean = [r.to_json() for r in run(config)]
+    sample = experiment.sample_general
+
+    def failing(spec):
+        if spec.n == 8:
+            raise MemoryError("cannot allocate the draw")
+        return sample(spec)
+
+    monkeypatch.setattr(experiment, "sample_general", failing)
+    rows = run(config)
+    assert [r.to_json() for r in rows[:2]] == clean[:2]
+    assert [(r.n, r.seed) for r in rows[2:]] == [(r["n"], r["seed"]) for r in clean[2:]]
+    for row in rows[2:]:
+        assert math.isnan(row.kolmogorov) and math.isnan(row.levy)
+        assert all(math.isnan(v) for v in row.stieltjes_errors.values())
+        assert row.check_failures == ["sample error: cannot allocate the draw"]
+    with pytest.raises(MemoryError):
+        verify(config)
 
 
 @pytest.mark.skipif(spectra._DSTERF is None, reason="numpy's OpenBLAS lacks dsterf")

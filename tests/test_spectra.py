@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from quatspectra import spectra
+from quatspectra import ensemble, spectra
 from quatspectra.ensemble import (EnsembleSpec, EtaSchedule, GSECoefficients,
                                   RademacherCoefficients, SelfDualMatrix,
                                   TwoPointCoefficients, UniformCoefficients,
@@ -269,16 +269,17 @@ def test_blas_threads_does_nothing_without_a_symbol_or_a_change(monkeypatch):
 
 
 @needs_thread_symbols
-@pytest.mark.parametrize("n", [256, 300])
+@pytest.mark.parametrize("n", [spectra._QUAT_MIN, spectra._QUAT_MIN + 1, 201, 256, 300])
 def test_quaternion_eigenvalues_do_not_depend_on_the_thread_count(n):
-    # Sweeps rely on this: draws of the quaternion route give the same bytes
-    # whatever share of the BLAS threads their process has.
+    # Sweeps rely on this: a draw from _QUAT_MIN up, which runs on its
+    # process's share of the BLAS threads, gives the same bytes at any share.
     w = sample_gse(n, seed=n)
-    with spectra._blas_threads(1):
-        one = spectra._quaternion_eigenvalues(w)
-    with spectra._blas_threads(2):
-        two = spectra._quaternion_eigenvalues(w)
-    assert one.tobytes() == two.tobytes()
+    spectra_by_count = []
+    for count in (1, 2, 3):
+        with spectra._blas_threads(count):
+            sample = SpectralSample.from_matrix(w)
+        spectra_by_count.append(sample.eigenvalues_full.tobytes())
+    assert spectra_by_count[0] == spectra_by_count[1] == spectra_by_count[2]
 
 
 # ---------------------------------------------------------------------------
@@ -287,7 +288,9 @@ def test_quaternion_eigenvalues_do_not_depend_on_the_thread_count(n):
 
 NB = spectra._NB
 QUAT_MIN = spectra._QUAT_MIN
-QUAT_ORDERS = [1, 2, 3, NB - 1, NB, NB + 1, 2 * NB + 1, QUAT_MIN, 300, 800]
+QUAT_ORDERS = [1, 2, 3, NB - 1, NB, NB + 1, 2 * NB + 1, QUAT_MIN, 256, 300, 800]
+# Each side of the route rule, and an odd and an even order above it.
+ROUTE_ORDERS = [QUAT_MIN - 1, QUAT_MIN, 255, 256]
 QUAT_LAWS = [GSECoefficients(), RademacherCoefficients(), UniformCoefficients(),
              TwoPointCoefficients(-1.0, 3.0, 0.25)]
 needs_quaternion = pytest.mark.skipif(spectra._ZGEMM is None or spectra._DSTERF is None,
@@ -429,7 +432,7 @@ def _assert_overwrite_matches_default(draw):
 
 
 @needs_quaternion
-@pytest.mark.parametrize("n", [QUAT_MIN, 300, 800])
+@pytest.mark.parametrize("n", [QUAT_MIN, 256, 300, 800])
 @pytest.mark.parametrize("law", QUAT_LAWS, ids=lambda law: law.kind)
 def test_overwrite_gives_the_same_spectrum(law, n):
     spec = EnsembleSpec(n=n, distribution=law, seed=n + 1)
@@ -444,7 +447,7 @@ def test_overwrite_gives_the_same_spectrum_on_a_pipelined_draw():
     _assert_overwrite_matches_default(lambda: run_pipeline(spec, keep_matrices=False)[0])
 
 
-@pytest.mark.parametrize("n", [QUAT_MIN - 1, QUAT_MIN])
+@pytest.mark.parametrize("n", ROUTE_ORDERS)
 def test_spectral_sample_leaves_the_matrix_alone_by_default(n):
     w = sample_gse(n, seed=40)
     before = w.coeffs.copy()
@@ -452,7 +455,7 @@ def test_spectral_sample_leaves_the_matrix_alone_by_default(n):
     assert w.coeffs.tobytes() == before.tobytes() and not w.coeffs.flags.writeable
 
 
-@pytest.mark.parametrize("n", [QUAT_MIN - 1, QUAT_MIN])
+@pytest.mark.parametrize("n", ROUTE_ORDERS)
 def test_overwrite_spends_the_matrix(n):
     # On either route: the spent matrix fails loudly wherever it is used.
     w = sample_gse(n, seed=41)
@@ -465,7 +468,7 @@ def test_overwrite_spends_the_matrix(n):
 
 
 @pytest.mark.parametrize("change", [1e-6, 1.0])
-@pytest.mark.parametrize("n", [QUAT_MIN - 1, QUAT_MIN])
+@pytest.mark.parametrize("n", ROUTE_ORDERS)
 def test_overwrite_leaves_a_rejected_matrix_intact(n, change):
     co = sample_gse(n, seed=42).coeffs.copy()
     co[n - 1, 0, 1] += change  # no longer self-dual
@@ -815,6 +818,28 @@ def _config_with_z(z):
 def test_non_finite_spectral_parameter_is_rejected(call, error, z):
     with pytest.raises(error):
         call(z)
+
+
+_HUGE = 10**400  # an int past float range
+
+
+@pytest.mark.parametrize("call, error", [
+    (lambda: ensemble.lindeberg_statistic(EnsembleSpec(n=4, distribution=GSECoefficients(),
+                                                       seed=0), _HUGE), ensemble.SpecError),
+    (lambda: ensemble.truncate(sample_gse(3, 0), _HUGE), ensemble.SpecError),
+    (lambda: ensemble.rescale(sample_gse(3, 0), _HUGE, 0), ensemble.SpecError),
+    (lambda: TwoPointCoefficients(_HUGE, 1, 0.5), ensemble.SpecError),
+    (lambda: semicircle_pdf(0.0, _HUGE), ValueError),
+    (lambda: semicircle_cdf(0.0, _HUGE), ValueError),
+    (lambda: semicircle_stieltjes(_HUGE), DomainError),
+    (lambda: empirical_stieltjes(np.array([1.0, 1.0]), _HUGE), DomainError),
+    (lambda: resolvent(embed(sample_gse(3, 0)), _HUGE), DomainError),
+], ids=["lindeberg_statistic", "truncate", "rescale", "two_point", "semicircle_pdf",
+        "semicircle_cdf", "semicircle_stieltjes", "empirical_stieltjes", "resolvent"])
+def test_an_int_past_float_range_raises_the_typed_error(call, error):
+    # Not the OverflowError that converting it to a float raises.
+    with pytest.raises(error):
+        call()
 
 
 def test_trace_minor_small_case():
