@@ -281,22 +281,28 @@ def _resolvent_checks(w: SelfDualMatrix, config: ExperimentConfig, names):
         yield outcome
 
 
-def _run_trial(config: ExperimentConfig, hist_dir, draw) -> ConvergenceRow:
+def _nan_row(config: ExperimentConfig, draw, failures: list) -> ConvergenceRow:
+    """The row of a draw with no spectrum (yet): NaN distances, no pipeline summary."""
     trial, spec = draw
-    n = spec.n
-    t0 = time.perf_counter()
-
-    failures, checks = [], []  # checks: the resolvent check failures
-    stage, summary, sample = "sample", None, None
-    kolmogorov = levy = math.nan
     serrs = dict.fromkeys(map(stieltjes_label, config.z_grid), math.nan)
-    with spectra._draw_threads(n):
+    return ConvergenceRow(n=spec.n, seed=spec.seed, trial=trial, kolmogorov=math.nan,
+                          levy=math.nan, stieltjes_errors=serrs, pipeline_summary=None,
+                          check_failures=failures, wall_time=0.0)
+
+
+def _run_trial(config: ExperimentConfig, hist_dir, draw) -> ConvergenceRow:
+    t0 = time.perf_counter()
+    trial, spec = draw
+    row = _nan_row(config, draw, [])
+    checks = []  # the resolvent check failures
+    stage, sample = "sample", None
+    with spectra._draw_threads(spec.n):
         try:
             w = sample_general(spec)
             if config.pipeline:
                 stage = "pipeline"
                 w, trace = run_pipeline(spec, w, keep_matrices=False)
-                summary = trace.to_json()
+                row.pipeline_summary = trace.to_json()
             try:  # before the eigensolve takes over w's array
                 for name, z, passed, _, failure in _resolvent_checks(w, config, config.checks):
                     if not passed:
@@ -307,31 +313,21 @@ def _run_trial(config: ExperimentConfig, hist_dir, draw) -> ConvergenceRow:
             sample = SpectralSample.from_matrix(w, overwrite=True)
         except (ValueError, MemoryError, np.linalg.LinAlgError) as exc:
             # one bad draw must not abort the sweep: its row keeps NaN distances
-            failures.append(f"{stage} error: {exc}")
+            row.check_failures.append(f"{stage} error: {exc}")
         else:
             esd = ESD(sample.eigenvalues_dedup)
-            kolmogorov = kolmogorov_distance(esd)
-            levy = levy_distance(esd, semicircle_cdf)
+            row.kolmogorov = kolmogorov_distance(esd)
+            row.levy = levy_distance(esd, semicircle_cdf)
             for z in config.z_grid:
-                point = empirical_stieltjes(sample, z)
-                serrs[stieltjes_label(z)] = abs(point.value - semicircle_stieltjes(z))
-    failures += checks
+                point = empirical_stieltjes(sample, z).value
+                row.stieltjes_errors[stieltjes_label(z)] = abs(point - semicircle_stieltjes(z))
+    row.check_failures += checks
 
     if hist_dir is not None and sample is not None:
         histogram_csv(sample.eigenvalues_dedup,
-                      Path(hist_dir) / f"hist_n{n}_t{trial}.csv")
-
-    return ConvergenceRow(
-        n=n,
-        seed=spec.seed,
-        trial=trial,
-        kolmogorov=kolmogorov,
-        levy=levy,
-        stieltjes_errors=serrs,
-        pipeline_summary=summary,
-        check_failures=failures,
-        wall_time=time.perf_counter() - t0,
-    )
+                      Path(hist_dir) / f"hist_n{spec.n}_t{trial}.csv")
+    row.wall_time = time.perf_counter() - t0
+    return row
 
 
 def run(config: ExperimentConfig, jobs: int = 1) -> list:
@@ -341,7 +337,9 @@ def run(config: ExperimentConfig, jobs: int = 1) -> list:
     in the pool alike.  The largest draw takes its memory first and every
     smaller one reuses what it freed, so a sweep peaks at one draw of its
     largest n; a pool gets its longest tasks first, and a size that does not
-    fit fails on the first draw instead of the last.
+    fit fails on the first draw instead of the last.  A pool worker that dies
+    breaks the pool: each draw it left unfinished is a failed row
+    (``pool error: ...``, NaN distances), and every finished row is kept.
     """
     config.validate()
     if not _is_count(jobs):
@@ -354,11 +352,17 @@ def run(config: ExperimentConfig, jobs: int = 1) -> list:
     draws = sorted(_draws(config), key=lambda draw: -draw[1].n)  # stable: trials keep order
     workers = min(jobs, len(draws))  # no idle worker
     if workers > 1:
-        from concurrent.futures import ProcessPoolExecutor  # loaded only for a pool
+        from concurrent.futures import BrokenExecutor, ProcessPoolExecutor  # only for a pool
         threads = spectra._GET_THREADS() if spectra._GET_THREADS else 1  # shared by the workers
         with ProcessPoolExecutor(max_workers=workers, initializer=_pin_blas_threads,
                                  initargs=(max(1, threads // workers),)) as pool:
-            rows = list(pool.map(trial_fn, draws))
+            futures = [pool.submit(trial_fn, draw) for draw in draws]
+            rows = []
+            for draw, future in zip(draws, futures):
+                try:
+                    rows.append(future.result())
+                except BrokenExecutor as exc:  # a dead worker: finished rows stay
+                    rows.append(_nan_row(config, draw, [f"pool error: {exc}"]))
     else:
         rows = [trial_fn(draw) for draw in draws]
     rows.sort(key=lambda r: (r.n, r.trial))

@@ -52,7 +52,10 @@ class Quaternion:
 
     def __post_init__(self):
         for name in "abcd":
-            value = float(getattr(self, name))
+            try:
+                value = float(getattr(self, name))
+            except OverflowError:  # an int past float range
+                value = math.inf
             if not np.isfinite(value):
                 raise ValueError(f"quaternion coefficient {name} must be finite, got {value}")
             object.__setattr__(self, name, value)
@@ -89,12 +92,13 @@ class Quaternion:
     def __mul__(self, other):
         if isinstance(other, Quaternion):
             return multiply(self, other)
-        return Quaternion(self.a * other, self.b * other,
-                          self.c * other, self.d * other)
+        try:
+            return Quaternion(self.a * other, self.b * other,
+                              self.c * other, self.d * other)
+        except OverflowError:  # an int scalar past float range
+            raise ValueError(f"scalar {other!r} is past float range") from None
 
-    def __rmul__(self, scalar) -> "Quaternion":
-        return Quaternion(self.a * scalar, self.b * scalar,
-                          self.c * scalar, self.d * scalar)
+    __rmul__ = __mul__  # a real scalar commutes with every quaternion
 
 
 UNIT = Quaternion(1.0, 0.0, 0.0, 0.0)
@@ -162,9 +166,9 @@ def from_complex(m: np.ndarray, tol: float = 1e-9) -> Quaternion:
         raise ShapeError(f"expected a 2x2 matrix, got shape {m.shape}")
     if not np.all(np.isfinite(m)):
         raise ShapeError("matrix entries must be finite")
-    residual = max(abs(m[0, 0] - m[1, 1].conjugate()),
-                   abs(m[0, 1] + m[1, 0].conjugate()))
-    if not residual <= tol:
+    residual = float(max(abs(m[0, 0] - m[1, 1].conjugate()),
+                         abs(m[0, 1] + m[1, 0].conjugate())))
+    if not residual <= tol:  # a Python comparison: exact for an int tol past float range
         raise ShapeError(
-            f"quaternion shape residual {residual:.3e} exceeds tolerance {tol:.3e}")
+            f"quaternion shape residual {residual:.3e} exceeds tolerance {tol!r}")
     return Quaternion(m[0, 0].real, m[0, 0].imag, m[0, 1].real, m[0, 1].imag)

@@ -76,6 +76,17 @@ def _complex(z) -> complex:
         return complex(math.inf)
 
 
+def _finite_floats(values, what: str) -> np.ndarray:
+    """``values`` as a float array; ValueError naming ``what`` unless all are finite."""
+    try:
+        out = np.asarray(values, dtype=float)
+    except OverflowError:  # an int past float range
+        out = np.array(math.inf)
+    if not np.all(np.isfinite(out)):
+        raise ValueError(f"{what} must be finite")
+    return out
+
+
 def _upper_half_plane(z) -> complex:
     z = _complex(z)
     if not (cmath.isfinite(z) and z.imag > 0):
@@ -375,11 +386,9 @@ class ESD:
     """Empirical spectral distribution: right-continuous step CDF."""
 
     def __init__(self, values):
-        self.points = np.sort(np.asarray(values, dtype=float))
+        self.points = np.sort(_finite_floats(values, "ESD support points"))
         if self.points.size == 0:
             raise ValueError("ESD needs at least one support point")
-        if not np.all(np.isfinite(self.points)):
-            raise ValueError("ESD support points must be finite")
 
     def cdf(self, x):
         """F(x) = fraction of points <= x (right-continuous)."""
@@ -464,7 +473,7 @@ def empirical_stieltjes(sample, z: complex) -> StieltjesPoint:
     """
     z = _upper_half_plane(z)
     eigs = sample.eigenvalues_full if isinstance(sample, SpectralSample) \
-        else np.asarray(sample, dtype=float)
+        else _finite_floats(sample, "eigenvalues")
     if not (eigs.size and np.all(np.isfinite(eigs))):
         raise ValueError("eigenvalues must be nonempty and finite")
     value = complex(np.mean(1.0 / (eigs - z)))
@@ -492,8 +501,8 @@ def _ks_two_esds(f: ESD, g: ESD) -> float:
 def _levy_feasible(f: ESD, g, eps: float, g_points: Optional[np.ndarray]) -> bool:
     slack = 1e-12
     if g_points is None:
-        up = f.cdf(f.points) - np.asarray(g(f.points + eps), dtype=float)
-        down = np.asarray(g(f.points - eps), dtype=float) - f.cdf_left(f.points)
+        up = f.cdf(f.points) - _finite_floats(g(f.points + eps), "reference CDF values")
+        down = _finite_floats(g(f.points - eps), "reference CDF values") - f.cdf_left(f.points)
         return bool(up.max() <= eps + slack and down.max() <= eps + slack)
     ev1 = np.concatenate([f.points, g_points - eps])
     sup1 = np.max(f.cdf(ev1) - g.cdf(ev1 + eps))
@@ -509,13 +518,18 @@ def levy_distance(f: ESD, g) -> float:
     bisection over the merged jump grid, to absolute accuracy ``_LEVY_TOL`` (the
     returned value is the feasible upper end of the bracket, so recorded
     inequalities remain valid).  Always at most the sup distance.
+
+    Raises
+    ------
+    ValueError
+        If the reference CDF ``g`` returns a value that is not finite.
     """
     if isinstance(g, ESD):
         g_points = g.points
         hi = _ks_two_esds(f, g)
     else:
         g_points = None
-        hi = _ks_to_cdf(f, np.asarray(g(f.points), dtype=float))
+        hi = _ks_to_cdf(f, _finite_floats(g(f.points), "reference CDF values"))
     lo = 0.0
     if hi <= _LEVY_TOL:
         return hi

@@ -12,16 +12,18 @@ pairs can satisfy two mirror symmetries:
   ``B[k,j] == P^* + Q^* * 1j`` with ``*`` the conjugate transpose.
 
 A matrix whose diagonal is Type-T and whose pairs are all d-related is
-*Type-I*; with u-related pairs it is *Type-II*.  The two relations are two
-parametrizations of one involution, so the classes coincide pointwise; both
-predicates are kept as independent computations and cross-check each other.
-The key structural fact, verified at random by :func:`verify_type2_inverse`,
-is that the class is closed under matrix inversion: the inverse of an
-invertible Type-II matrix is Type-I.
+*Type-I*; with u-related pairs it is *Type-II*.  Worked out entrywise, the
+u-mirror ``P^* + Q^* * 1j`` is the d-mirror ``[[p22, -p12], [-p21, p11]]``
+(the J-transpose identity of the complex adjoint), so the two relations, and
+the two classes, coincide pointwise.  Both are computed here as that one
+d-mirror; the tests check it against the u-mirror built from the split.
+:func:`verify_type2_inverse` checks at random that the class is closed under
+matrix inversion: the inverse of an invertible Type-II matrix is Type-I.
 """
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import asdict, dataclass
 from typing import Optional
 
@@ -64,6 +66,16 @@ class SingularError(np.linalg.LinAlgError):
 
 class DecompositionError(ValueError):
     """A 2x2 block cannot be split into quaternion-shaped parts."""
+
+
+def _check_tol(tol) -> float:
+    """``tol`` as a float; ValueError unless it is a real number >= 0 (inf included)."""
+    try:
+        if isinstance(tol, numbers.Real) and not isinstance(tol, bool) and float(tol) >= 0:
+            return float(tol)
+    except OverflowError:  # an int past float range
+        pass
+    raise ValueError(f"tol must be a nonnegative real number, got {tol!r}")
 
 
 class BlockMatrix:
@@ -143,6 +155,13 @@ def _as_blocks(p) -> np.ndarray:
     return p
 
 
+def _finite_blocks(p) -> np.ndarray:
+    p = _as_blocks(p)
+    if not np.all(np.isfinite(p)):
+        raise DecompositionError("block entries must be finite")
+    return p
+
+
 def _type_t_deviation(b) -> np.ndarray:
     """``max(|b01|, |b10|, |b00 - b11|)`` of each block of a ``(..., 2, 2)`` stack."""
     b = _as_blocks(b)
@@ -155,8 +174,7 @@ def is_type_t(b: np.ndarray, tol: float) -> bool:
 
     A ``(..., 2, 2)`` stack is true when every block is.
     """
-    if not tol >= 0:
-        raise ValueError(f"tol must be nonnegative, got {tol}")
+    tol = _check_tol(tol)
     return bool(np.all(_type_t_deviation(b) <= tol))
 
 
@@ -166,9 +184,7 @@ def _split(p: np.ndarray) -> tuple:
     ``B = [[b1, b2], [-conj(b2), conj(b1)]]`` and ``C`` likewise, computed
     blockwise over a ``(..., 2, 2)`` stack.
     """
-    p = _as_blocks(p)
-    if not np.all(np.isfinite(p)):
-        raise DecompositionError("block entries must be finite")
+    p = _finite_blocks(p)
     b1 = (p[..., 0, 0] + p[..., 1, 1].conj()) / 2
     c1 = (p[..., 0, 0] - p[..., 1, 1].conj()) / 2j
     b2 = (p[..., 0, 1] - p[..., 1, 0].conj()) / 2
@@ -218,32 +234,23 @@ def quaternion_parts(p: np.ndarray) -> tuple:
 def u_partner(p: np.ndarray) -> np.ndarray:
     """The u-mirror ``B^* + C^* * 1j`` of ``p = B + C*1j`` (canonical split).
 
-    Applies blockwise to a ``(..., 2, 2)`` stack; raises
+    It equals the d-mirror entry for entry, and is computed as
+    :func:`d_partner`.  Applies blockwise to a ``(..., 2, 2)`` stack; raises
     :class:`DecompositionError` like :func:`quaternion_parts`.
     """
-    b1, c1, b2, c2 = _split(p)
-    out = np.empty(np.shape(b1) + (2, 2), dtype=complex)
-    out[..., 0, 0] = b1.conj() + 1j * c1.conj()
-    out[..., 0, 1] = -b2 - 1j * c2
-    out[..., 1, 0] = b2.conj() + 1j * c2.conj()
-    out[..., 1, 1] = b1 + 1j * c1
-    return out
+    return d_partner(_finite_blocks(p))
 
 
 def d_related(p: np.ndarray, q: np.ndarray, tol: float) -> bool:
     """True when ``q`` is the d-mirror of ``p`` within ``tol`` entrywise."""
-    if not tol >= 0:
-        raise ValueError(f"tol must be nonnegative, got {tol}")
+    tol = _check_tol(tol)
     q = np.asarray(q, dtype=complex)
     return bool(np.max(np.abs(q - d_partner(p))) <= tol)
 
 
 def u_related(p: np.ndarray, q: np.ndarray, tol: float) -> bool:
     """True when ``q`` is the u-mirror of ``p`` within ``tol`` entrywise."""
-    if not tol >= 0:
-        raise ValueError(f"tol must be nonnegative, got {tol}")
-    q = np.asarray(q, dtype=complex)
-    return bool(np.max(np.abs(q - u_partner(p))) <= tol)
+    return d_related(_finite_blocks(p), q, tol)  # the u-mirror is the d-mirror
 
 
 def _type1_deviations(values: np.ndarray) -> tuple:
@@ -279,65 +286,35 @@ def classify(m, tol: float) -> StructureReport:
     (TypeII first: it is the input side of the inversion check) and all
     passing classes are listed in ``passing``.
     """
-    if not tol >= 0:
-        raise ValueError(f"tol must be nonnegative, got {tol}")
-    values = _as_matrix(m)
-    bm = m if isinstance(m, BlockMatrix) else BlockMatrix(values)
+    tol = _check_tol(tol)
+    values = BlockMatrix(_as_matrix(m)).values  # a 2n x 2n shape check
     if not np.all(np.isfinite(values)):
         raise DecompositionError("matrix entries must be finite")
-    blocks = bm.blocks
-    n = bm.n
 
     scale, diag_dev, d_dev = _type1_deviations(values)
     scale = float(scale)
     denom = scale if scale > 0 else 1.0
     diag_dev, d_dev = diag_dev / denom, d_dev / denom
-    u_diff = np.abs(blocks.swapaxes(0, 1) - u_partner(blocks))
-    u_dev = np.maximum(np.maximum(u_diff[..., 0, 0], u_diff[..., 0, 1]),
-                       np.maximum(u_diff[..., 1, 0], u_diff[..., 1, 1])) / denom
-    off = ~np.eye(n, dtype=bool)
-
     diag_res = float(diag_dev.max())
-    d_res = float(d_dev[off].max()) if n > 1 else 0.0
-    u_res = float(u_dev[off].max()) if n > 1 else 0.0
+    off_res = max(diag_res, float(d_dev.max()))  # d_dev is zero on the diagonal
 
-    def _witness(kind):
-        jd = int(diag_dev.argmax())
-        best = (float(diag_dev[jd]), jd + 1, jd + 1)
-        if kind != "TypeT-diagonal-only" and n > 1:
-            dev = np.where(off, d_dev if kind == "TypeI" else u_dev, -1.0)
-            j, k = np.unravel_index(int(dev.argmax()), dev.shape)
-            best = max(best, (float(dev[j, k]), int(j) + 1, int(k) + 1))
-        r, wj, wk = best
-        return (wj, wk, r)
-
-    precedence = ("TypeII", "TypeI", "TypeT-diagonal-only")
-    class_res = {
-        "TypeII": max(diag_res, u_res),
-        "TypeI": max(diag_res, d_res),
-        "TypeT-diagonal-only": diag_res,
-    }
-    passing = tuple(name for name in precedence if class_res[name] <= tol)
-    failing = [name for name in precedence if class_res[name] > tol]
-    if passing:
-        classification = passing[0]
-        max_residual = class_res[classification]
-    else:
-        classification = "None"
-        max_residual = min(class_res.values())
-    # The witness points at the worst block of the strongest failing class
-    # (so a single perturbed pair is identified even when a weaker class
-    # still passes); with nothing failing, at the worst block overall.
-    witness_class = failing[0] if failing else classification
-    residuals = {"diagonal": diag_res, "TypeI": class_res["TypeI"],
-                 "TypeII": class_res["TypeII"]}
+    class_res = {"TypeII": off_res, "TypeI": off_res, "TypeT-diagonal-only": diag_res}
+    passing = tuple(name for name, res in class_res.items() if res <= tol)  # in precedence
+    classification = passing[0] if passing else "None"
+    max_residual = class_res.get(classification, diag_res)  # "None": of the nearest class
+    # The witness is the worst block: a diagonal block or an off-diagonal pair.
+    np.fill_diagonal(d_dev, -1.0)  # pairs only
+    jd = int(diag_dev.argmax())
+    j, k = np.unravel_index(int(d_dev.argmax()), d_dev.shape)
+    residual, wj, wk = max((float(diag_dev[jd]), jd + 1, jd + 1),
+                           (float(d_dev[j, k]), int(j) + 1, int(k) + 1))
     return StructureReport(
         classification=classification,
         passing=passing,
-        max_residual=float(max_residual),
-        witness=_witness(witness_class),
+        max_residual=max_residual,
+        witness=(wj, wk, residual),
         scale=scale,
-        residuals=residuals,
+        residuals={"diagonal": diag_res, "TypeI": off_res, "TypeII": off_res},
     )
 
 
@@ -362,7 +339,7 @@ def _type2_values(t: np.ndarray, pairs: np.ndarray) -> np.ndarray:
     blocks[..., diag, diag, 0, 0] = t
     blocks[..., diag, diag, 1, 1] = t
     blocks[..., j, k, :, :] = upper
-    blocks[..., k, j, :, :] = u_partner(upper)
+    blocks[..., k, j, :, :] = d_partner(upper)
     return values
 
 
@@ -379,8 +356,8 @@ def make_type2(n: int, t: np.ndarray, coeffs: np.ndarray) -> BlockMatrix:
             [[a + c*1j,                  b + d*1j               ],
              [-conj(b) - conj(d)*1j,     conj(a) + conj(c)*1j   ]]
 
-        and block ``(k, j)`` is its u-mirror.  Only the strict upper
-        triangle of ``coeffs`` is read.
+        and block ``(k, j)`` is its u-mirror, which is its d-mirror.  Only
+        the strict upper triangle of ``coeffs`` is read.
 
     Raises
     ------
@@ -549,8 +526,7 @@ def verify_type2_inverse(n: int, trials: int, seed: int, tol: float = 1e-8) -> I
     for name, value, low in (("n", n, 1), ("trials", trials, 1), ("seed", seed, 0)):
         if not (_is_int(value) and value >= low):
             raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
-    if not tol >= 0:
-        raise ValueError(f"tol must be nonnegative, got {tol}")
+    tol = _check_tol(tol)
     passes = 0
     resamples = 0
     max_residual = 0.0

@@ -14,7 +14,9 @@ verification suite's reuse of work has its references at the end: the
 resolvent checks one public call at a time, the pipeline bounds with every
 stage spectrum solved, the condition test by SVD alone, and the Type-I
 deviations one block pair at a time; each must agree with the shared
-version to the bit.
+version to the bit.  The u-mirror is built from the quaternion split of its
+block, the way the u-relation is defined, as the check on the d-mirror that
+the package computes for both relations.
 """
 
 import itertools
@@ -124,6 +126,23 @@ def normal_tail_second_moment_by_quadrature(c: float) -> float:
         return v * v * np.exp(-v * v / 2.0) / np.sqrt(2.0 * np.pi)
     val, _ = quad(integrand, c, np.inf, epsabs=0.0, epsrel=1e-13, limit=200)
     return 2.0 * val
+
+
+def u_mirror_by_split(p: np.ndarray) -> np.ndarray:
+    """The u-mirror ``B^* + C^* * 1j`` of one 2x2 block ``p = B + C*1j``.
+
+    ``B = [[b1, b2], [-conj(b2), conj(b1)]]`` and ``C`` likewise from
+    ``(c1, c2)`` are solved for from the four entries of ``p``, then
+    recombined with their conjugate transposes.
+    """
+    p = np.asarray(p, dtype=complex)
+    b1 = (p[0, 0] + np.conj(p[1, 1])) / 2
+    c1 = (p[0, 0] - np.conj(p[1, 1])) / 2j
+    b2 = (p[0, 1] - np.conj(p[1, 0])) / 2
+    c2 = (p[0, 1] + np.conj(p[1, 0])) / 2j
+    B = np.array([[b1, b2], [-np.conj(b2), np.conj(b1)]])
+    C = np.array([[c1, c2], [-np.conj(c2), np.conj(c1)]])
+    return B.conj().T + 1j * C.conj().T
 
 
 def type2_by_loop(n: int, t: np.ndarray, coeffs: np.ndarray) -> np.ndarray:

@@ -7,6 +7,7 @@ import os
 import runpy
 import subprocess
 import sys
+import time
 from dataclasses import replace
 from pathlib import Path
 from types import SimpleNamespace
@@ -587,8 +588,10 @@ def _inline_pools(monkeypatch, threads):
         def __exit__(self, *exc):
             return False
 
-        def map(self, fn, items):
-            return map(fn, items)
+        def submit(self, fn, *args):
+            future = concurrent.futures.Future()
+            future.set_result(fn(*args))
+            return future
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
     monkeypatch.setattr(spectra, "_GET_THREADS", lambda: threads)
@@ -740,6 +743,36 @@ def test_run_records_a_memory_error_and_verify_raises_it(tmp_path, monkeypatch):
         assert row.check_failures == ["sample error: cannot allocate the draw"]
     with pytest.raises(MemoryError):
         verify(config)
+
+
+_REAL_RUN_TRIAL = experiment._run_trial
+
+
+def _dying_trial(config, hist_dir, draw):
+    # Module level, so a pool can pickle it.  The last draw handed out kills
+    # its worker once the other draws have had time to finish.
+    if (draw[1].n, draw[0]) == (4, 2):
+        time.sleep(0.5)
+        os._exit(1)
+    return _REAL_RUN_TRIAL(config, hist_dir, draw)
+
+
+def test_run_keeps_the_finished_rows_of_a_broken_pool(tmp_path, monkeypatch):
+    # A dead worker breaks the pool: every draw that did not finish becomes a
+    # failed row, and every finished row is the serial one.
+    config = small_config(tmp_path, trials_per_size=3)
+    serial = [r.to_json() for r in run(config)]
+    monkeypatch.setattr(experiment, "_run_trial", _dying_trial)
+    rows = [r.to_json() for r in run(config, jobs=2)]
+    assert [(r["n"], r["trial"]) for r in rows] == [(r["n"], r["trial"]) for r in serial]
+    failed = [r for r in rows if r["check_failures"]]
+    assert rows[2] in failed and len(failed) < len(rows)
+    for row in failed:
+        assert row["check_failures"][0].startswith("pool error: ")
+        assert math.isnan(row["kolmogorov"]) and math.isnan(row["levy"])
+        assert all(math.isnan(v) for v in row["stieltjes_errors"].values())
+    for row, want in zip(rows, serial):
+        assert row in failed or row == want
 
 
 @pytest.mark.skipif(spectra._DSTERF is None, reason="numpy's OpenBLAS lacks dsterf")

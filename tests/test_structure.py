@@ -17,7 +17,7 @@ from quatspectra.structure import (BlockMatrix, DecompositionError,
 
 from memtrace import traced_peak
 from oracles import (invert_by_svd_test, type1_deviations_by_blocks, type2_by_loop,
-                     type2_inverse_by_loop)
+                     type2_inverse_by_loop, u_mirror_by_split)
 
 complex_entry = st.builds(complex,
                           st.floats(-10, 10, allow_nan=False),
@@ -108,10 +108,11 @@ def test_quaternion_parts_reconstruct(p):
 @given(blocks_2x2)
 @settings(max_examples=200)
 def test_u_and_d_mirrors_coincide(p):
-    # The two off-block symmetries are two parametrizations of the same
-    # involution; keeping both computations lets them cross-check each other.
-    assert np.max(np.abs(u_partner(p) - d_partner(p))) \
-        <= 1e-12 * max(1.0, np.abs(p).max())
+    # The u-mirror recombined from the split is the d-mirror, so the package
+    # computes both as one; the split-based form is the independent check.
+    want = u_mirror_by_split(p)
+    for mirror in (u_partner, d_partner):
+        assert np.max(np.abs(mirror(p) - want)) <= 1e-12 * max(1.0, np.abs(p).max())
 
 
 def test_mirrors_of_a_stack_are_blockwise():
