@@ -25,6 +25,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
+from ._args import finite_array, integer, positive, real
 from .quaternion import Quaternion
 
 __all__ = [
@@ -62,22 +63,6 @@ _RESCALE_TAG = 0x524553
 
 class SpecError(ValueError):
     """An ensemble description violates the moment conditions."""
-
-
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-def _is_real(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
-
-
-def _is_finite(value) -> bool:
-    """A real number a float holds finitely: not NaN or infinite, nor an int past float range."""
-    try:
-        return _is_real(value) and math.isfinite(value)
-    except OverflowError:
-        return False
 
 
 # ---------------------------------------------------------------------------
@@ -229,11 +214,8 @@ class TwoPointCoefficients(Distribution):
     param_names = ("lo", "hi", "p")
 
     def __init__(self, lo: float, hi: float, p: float):
-        if not all(isinstance(v, float) or _is_finite(v) for v in (lo, hi, p)):
-            raise SpecError(f"two-point params must be numbers a float holds, got {(lo, hi, p)!r}")
-        self.lo = float(lo)
-        self.hi = float(hi)
-        self.p = float(p)
+        self.lo, self.hi, self.p = (real(v, SpecError, "two-point params must be finite numbers")
+                                    for v in (lo, hi, p))
         mean = self.p * self.hi + (1.0 - self.p) * self.lo
         try:
             var = self.p * self.hi**2 + (1.0 - self.p) * self.lo**2 - mean**2
@@ -370,10 +352,8 @@ def distribution_from_json(obj: dict) -> Distribution:
     if unknown:
         raise SpecError(f"unknown distribution keys {sorted(unknown)}")
     params = obj.get("params", {})
-    if not (isinstance(params, dict) and all(isinstance(value, float) or _is_finite(value)
-                                             for value in params.values())):
-        raise SpecError(f"distribution params must map names to numbers a float holds, "
-                        f"got {params!r}")
+    if not isinstance(params, dict):
+        raise SpecError(f"distribution params must be an object, got {params!r}")
     law = _BUILTINS[kind]
     if params.keys() != set(law.param_names):
         raise SpecError(f"a {kind} law takes the params {list(law.param_names)}, "
@@ -397,12 +377,18 @@ class EtaSchedule:
     kind: str = "power"
     value: float = 0.125
 
+    def validate(self) -> float:
+        """The value as a float; SpecError unless the kind is known and the value is
+        finite (positive when constant)."""
+        if self.kind not in ("power", "constant"):
+            raise SpecError(f"unknown eta schedule kind {self.kind!r}")
+        return real(self.value, SpecError, f"eta schedule value must be a finite number "
+                    f"(positive when constant) for a {self.kind} schedule",
+                    positive if self.kind == "constant" else math.isfinite)
+
     def eta(self, n: int) -> float:
-        if self.kind == "power":
-            return float(n) ** (-self.value)
-        if self.kind == "constant":
-            return self.value
-        raise SpecError(f"unknown eta schedule kind {self.kind!r}")
+        value = self.validate()
+        return float(n) ** (-value) if self.kind == "power" else value
 
     def to_json(self) -> dict:
         if self.kind == "power":
@@ -439,17 +425,9 @@ class EnsembleSpec:
     eta: EtaSchedule = field(default_factory=EtaSchedule)
 
     def validate(self) -> None:
-        if not (_is_int(self.n) and self.n >= 1):
-            raise SpecError(f"dimension must be an integer >= 1, got {self.n!r}")
-        if not (_is_int(self.seed) and self.seed >= 0):
-            raise SpecError(f"seed must be an integer >= 0, got {self.seed!r}")
-        eta = self.eta
-        if eta.kind not in ("power", "constant"):
-            raise SpecError(f"unknown eta schedule kind {eta.kind!r}")
-        if not _is_finite(eta.value) \
-                or (eta.kind == "constant" and not eta.value > 0):
-            raise SpecError(f"eta schedule value must be a finite number (positive when "
-                            f"constant), got {eta.kind} {eta.value!r}")
+        integer(self.n, SpecError, "dimension", 1)
+        integer(self.seed, SpecError, "seed")
+        self.eta.validate()
         self.distribution.validate()
 
     def eta_n(self) -> float:
@@ -492,8 +470,9 @@ class SelfDualMatrix:
 
     ``coeffs[j, k]`` holds the four (already scaled) coefficients of entry
     ``(j+1, k+1)``; ``scale`` records the ``1/sqrt(n)`` normalization that
-    was applied.  Coefficients must be finite; the mirror symmetry and the
-    real diagonal are invariants, checked by :meth:`check`.
+    was applied.  Coefficients must be finite and the scale positive and
+    finite (a ValueError otherwise); the mirror symmetry and the real
+    diagonal are invariants, checked by :meth:`check`.
     """
 
     coeffs: np.ndarray
@@ -506,10 +485,8 @@ class SelfDualMatrix:
         if self.coeffs.ndim != 3 or self.coeffs.shape[2] != 4 \
                 or self.coeffs.shape[0] != self.coeffs.shape[1]:
             raise ValueError(f"expected (n, n, 4) coefficients, got {self.coeffs.shape}")
-        # min and max are NaN if any entry is: no full-size bool temporary
-        if self.coeffs.size and not (math.isfinite(self.coeffs.min())
-                                     and math.isfinite(self.coeffs.max())):
-            raise ValueError("matrix entries must be finite")
+        finite_array(self.coeffs, ValueError, "matrix entries must be finite")
+        self.scale = real(self.scale, ValueError, "scale must be positive and finite", positive)
         self.coeffs.setflags(write=False)
 
     @classmethod
@@ -607,8 +584,7 @@ def lindeberg_statistic(spec: EnsembleSpec, eta: float) -> float:
     Monte Carlo draws from an offset stream of ``spec.seed``.
     """
     spec.validate()
-    if not (_is_finite(eta) and eta > 0):
-        raise SpecError(f"eta must be positive and finite, got {eta}")
+    eta = real(eta, SpecError, "eta must be positive and finite", positive)
     n = spec.n
     c = eta * math.sqrt(n)
     dist = spec.distribution
@@ -691,8 +667,7 @@ def truncate(w: SelfDualMatrix, eta_n: float):
     complex rank of the embedded difference: at most 4 per off-diagonal pair
     and 2 per diagonal entry, and at most 2 per touched quaternion row.
     """
-    if not (_is_finite(eta_n) and eta_n > 0):
-        raise SpecError(f"eta_n must be positive and finite, got {eta_n}")
+    eta_n = real(eta_n, SpecError, "eta_n must be positive and finite", positive)
     n = w.n
     threshold = eta_n * math.sqrt(n) * w.scale  # comparison on stored (scaled) norms
     norms = w.entry_norms()
@@ -757,8 +732,7 @@ def centralize(w: SelfDualMatrix, truncated_mean: np.ndarray):
     The record carries its norm.  Self-duality is preserved by subtracting
     the conjugate below the diagonal.
     """
-    if not np.all(np.isfinite(truncated_mean)):
-        raise SpecError(f"truncated mean must be finite, got {truncated_mean}")
+    truncated_mean = finite_array(truncated_mean, SpecError, "truncated mean must be finite")
     mu = truncated_mean * w.scale
     coeffs = w.coeffs.copy()
     upper = np.triu_indices(w.n, 1)
@@ -787,8 +761,8 @@ def rescale(w: SelfDualMatrix, sigma_sq: float, seed: int):
     an offset stream of ``seed`` and noted in the record.  The diagonal is
     left untouched (it is zeroed by its own stage).
     """
-    if not _is_finite(sigma_sq):
-        raise SpecError(f"sigma_sq must be finite, got {sigma_sq}")
+    sigma_sq = real(sigma_sq, SpecError, "sigma_sq must be finite")
+    seed = integer(seed, SpecError, "seed")
     n = w.n
     idx = np.arange(n)
     replacements = 0

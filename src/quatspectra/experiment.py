@@ -10,7 +10,6 @@ identical regardless of scheduling.
 
 from __future__ import annotations
 
-import cmath
 import copy
 import csv
 import functools
@@ -26,8 +25,8 @@ from typing import Optional
 import numpy as np
 
 from . import spectra
-from .ensemble import (EnsembleSpec, SelfDualMatrix, _is_int, _is_real,
-                       run_pipeline, sample_general)
+from ._args import complex_number, integer, is_int, nonnegative, real, upper_half_plane
+from .ensemble import EnsembleSpec, SelfDualMatrix, run_pipeline, sample_general
 from .spectra import (ESD, SpectralSample, empirical_stieltjes, histogram_csv,
                       kolmogorov_distance, levy_distance, semicircle_cdf,
                       semicircle_stieltjes)
@@ -56,22 +55,18 @@ class ConfigError(ValueError):
     """Invalid experiment configuration."""
 
 
-def _is_count(value) -> bool:
-    return _is_int(value) and value >= 1
-
-
 def _z_grid_from_json(pairs) -> list:
     """Grid points of the JSON form, a list of ``[re, im]`` pairs of numbers."""
-    if not (isinstance(pairs, list) and all(
-            isinstance(p, list) and len(p) == 2 and all(map(_is_real, p)) for p in pairs)):
+    if not (isinstance(pairs, list) and all(isinstance(p, list) and len(p) == 2 for p in pairs)):
         raise ConfigError(f"z_grid must be a list of [re, im] pairs of numbers, "
                           f"got {pairs!r}")
-    return [complex(re, im) for re, im in pairs]
+    return [complex(*(real(x, ConfigError, "z_grid values must be finite numbers") for x in p))
+            for p in pairs]
 
 
 def trial_seed(seed: int, n: int, trial: int) -> int:
     """Stable per-trial seed: SHA-256 of ``"{seed}:{n}:{trial}"``, 8 bytes."""
-    if not all(map(_is_int, (seed, n, trial))):
+    if not all(map(is_int, (seed, n, trial))):
         raise ConfigError(f"seed, n and trial must be integers, got {(seed, n, trial)!r}")
     digest = hashlib.sha256(f"{seed}:{n}:{trial}".encode()).digest()
     return int.from_bytes(digest[:8], "little")
@@ -79,8 +74,7 @@ def trial_seed(seed: int, n: int, trial: int) -> int:
 
 def stieltjes_label(z: complex) -> str:
     """CSV column label for the transform error at ``z``."""
-    if not cmath.isfinite(z):
-        raise ConfigError(f"z must be finite, got {z!r}")
+    z = complex_number(z, ConfigError, "z must be finite")
     return f"serr_re{z.real:g}_im{z.imag:g}"
 
 
@@ -103,19 +97,16 @@ class ExperimentConfig:
     def validate(self) -> None:
         """Check every field's type and range; raise ConfigError (or SpecError)."""
         sizes = self.sizes
-        if not (isinstance(sizes, list) and sizes and all(map(_is_count, sizes))):
+        if not (isinstance(sizes, list) and sizes and all(is_int(s) and s >= 1 for s in sizes)):
             raise ConfigError(f"sizes must be a nonempty list of integers >= 1, "
                               f"got {sizes!r}")
         if any(a >= b for a, b in zip(sizes, sizes[1:])):
             raise ConfigError(f"sizes must be strictly increasing, got {sizes}")
-        if not _is_count(self.trials_per_size):
-            raise ConfigError(f"trials_per_size must be an integer >= 1, "
-                              f"got {self.trials_per_size!r}")
+        integer(self.trials_per_size, ConfigError, "trials_per_size", 1)
         labels = {}  # each point's CSV column label: one column per point
         for z in self.z_grid:
-            if not (isinstance(z, complex) and cmath.isfinite(z) and z.imag > 0):
-                raise ConfigError(f"z grid point {z!r} is not a finite point "
-                                  "of the upper half plane")
+            complex_number(z, ConfigError, "z grid points must be finite points of the "
+                           "upper half plane", upper_half_plane)
             label = stieltjes_label(z)
             if label in labels:
                 raise ConfigError(f"z grid points {labels[label]!r} and {z!r} share "
@@ -132,20 +123,17 @@ class ExperimentConfig:
         if not (isinstance(checks, tuple) and all(c in KNOWN_CHECKS for c in checks)):
             raise ConfigError(f"checks must be a list of names from {list(KNOWN_CHECKS)}, "
                               f"got {checks!r}")
-        if not (_is_real(self.check_tol) and 0 <= self.check_tol < math.inf):
-            raise ConfigError(f"check_tol must be finite and nonnegative, "
-                              f"got {self.check_tol!r}")
+        real(self.check_tol, ConfigError, "check_tol must be finite and nonnegative", nonnegative)
         if not isinstance(self.check_params, dict):
             raise ConfigError(f"check_params must be an object, got {self.check_params!r}")
         params = {**_CHECK_PARAMS, **self.check_params}
         dims, trials = params.pop("inversion_dims"), params.pop("inversion_trials")
         if params:
             raise ConfigError(f"unknown check_params {sorted(params)}")
-        if not (isinstance(dims, list) and dims and all(map(_is_count, dims))):
+        if not (isinstance(dims, list) and dims and all(is_int(d) and d >= 1 for d in dims)):
             raise ConfigError(f"inversion_dims must be a nonempty list of integers "
                               f">= 1, got {dims!r}")
-        if not _is_count(trials):
-            raise ConfigError(f"inversion_trials must be an integer >= 1, got {trials!r}")
+        integer(trials, ConfigError, "inversion_trials", 1)
         self.ensemble.validate()
 
     def to_json(self) -> dict:
@@ -183,7 +171,7 @@ class ExperimentConfig:
             if kwargs.keys() & {"output_path", "output_format"}:
                 raise ConfigError('output path and format belong in "output"')
             cfg = cls(**kwargs, **{f"output_{key}": value for key, value in output.items()})
-        except (KeyError, TypeError, ValueError, AttributeError, OverflowError) as exc:
+        except (KeyError, TypeError, ValueError, AttributeError) as exc:
             if isinstance(exc, ConfigError):
                 raise
             raise ConfigError(f"malformed configuration: {exc}") from exc
@@ -252,7 +240,9 @@ def _resolvent_checks(w: SelfDualMatrix, config: ExperimentConfig, names):
     """
     structure, minor = "resolvent_structure" in names, "trace_minor" in names
     deferred = []  # trace-minor outcomes, or the error that ends them
-    for z in config.z_grid if structure or minor else ():
+    for z in config.z_grid:
+        if not (structure or minor):
+            break
         R = spectra.resolvent(spectra.embed(w), z)
         if structure:
             report = spectra._structure_report(R, z, config.check_tol)
@@ -262,18 +252,13 @@ def _resolvent_checks(w: SelfDualMatrix, config: ExperimentConfig, names):
             try:
                 report = spectra._trace_minor_report(R, z)
             except Exception as exc:
-                if not structure:
-                    raise
                 deferred.append(exc)
                 minor = False
             else:
-                outcome = ("trace_minor", z, report.passed,
-                           report.max_difference / report.bound,
-                           {"max_difference": report.max_difference, "bound": report.bound})
-                if structure:
-                    deferred.append(outcome)
-                else:
-                    yield outcome
+                deferred.append(("trace_minor", z, report.passed,
+                                 report.max_difference / report.bound,
+                                 {"max_difference": report.max_difference,
+                                  "bound": report.bound}))
         del R  # not held while the next point's resolvent is solved
     for outcome in deferred:
         if isinstance(outcome, Exception):
@@ -342,8 +327,7 @@ def run(config: ExperimentConfig, jobs: int = 1) -> list:
     (``pool error: ...``, NaN distances), and every finished row is kept.
     """
     config.validate()
-    if not _is_count(jobs):
-        raise ConfigError(f"jobs must be an integer >= 1, got {jobs!r}")
+    integer(jobs, ConfigError, "jobs", 1)
     hist_dir = None
     if config.histograms:
         hist_dir = str(Path(config.output_path).resolve().parent)

@@ -22,6 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._args import finite_array, real, tolerance
+
 __all__ = [
     "Quaternion",
     "ShapeError",
@@ -52,12 +54,8 @@ class Quaternion:
 
     def __post_init__(self):
         for name in "abcd":
-            try:
-                value = float(getattr(self, name))
-            except OverflowError:  # an int past float range
-                value = math.inf
-            if not np.isfinite(value):
-                raise ValueError(f"quaternion coefficient {name} must be finite, got {value}")
+            value = real(getattr(self, name), ValueError,
+                         f"quaternion coefficient {name} must be a finite real number")
             object.__setattr__(self, name, value)
 
     def conjugate(self) -> "Quaternion":
@@ -75,9 +73,6 @@ class Quaternion:
     def coeffs(self) -> np.ndarray:
         return np.array([self.a, self.b, self.c, self.d])
 
-    def is_real(self, tol: float = 0.0) -> bool:
-        return abs(self.b) <= tol and abs(self.c) <= tol and abs(self.d) <= tol
-
     def __add__(self, other: "Quaternion") -> "Quaternion":
         return Quaternion(self.a + other.a, self.b + other.b,
                           self.c + other.c, self.d + other.d)
@@ -92,11 +87,8 @@ class Quaternion:
     def __mul__(self, other):
         if isinstance(other, Quaternion):
             return multiply(self, other)
-        try:
-            return Quaternion(self.a * other, self.b * other,
-                              self.c * other, self.d * other)
-        except OverflowError:  # an int scalar past float range
-            raise ValueError(f"scalar {other!r} is past float range") from None
+        s = real(other, ValueError, "a quaternion's scalar factor must be a finite real number")
+        return Quaternion(self.a * s, self.b * s, self.c * s, self.d * s)
 
     __rmul__ = __mul__  # a real scalar commutes with every quaternion
 
@@ -158,17 +150,18 @@ def from_complex(m: np.ndarray, tol: float = 1e-9) -> Quaternion:
 
     Raises
     ------
+    ValueError
+        If ``tol`` is not a real number >= 0.
     ShapeError
         If an entry is not finite or the residual exceeds ``tol``.
     """
-    m = np.asarray(m, dtype=complex)
+    tol = tolerance(tol)
+    m = finite_array(m, ShapeError, "matrix entries must be finite", complex)
     if m.shape != (2, 2):
         raise ShapeError(f"expected a 2x2 matrix, got shape {m.shape}")
-    if not np.all(np.isfinite(m)):
-        raise ShapeError("matrix entries must be finite")
     residual = float(max(abs(m[0, 0] - m[1, 1].conjugate()),
                          abs(m[0, 1] + m[1, 0].conjugate())))
-    if not residual <= tol:  # a Python comparison: exact for an int tol past float range
+    if not residual <= tol:
         raise ShapeError(
             f"quaternion shape residual {residual:.3e} exceeds tolerance {tol!r}")
     return Quaternion(m[0, 0].real, m[0, 0].imag, m[0, 1].real, m[0, 1].imag)

@@ -22,7 +22,9 @@ from typing import Optional
 
 import numpy as np
 
-from .ensemble import _CONJ_SIGNS, SelfDualMatrix, _is_finite
+from ._args import (complex_number, finite_array, integer, positive, real, tolerance,
+                    upper_half_plane)
+from .ensemble import _CONJ_SIGNS, SelfDualMatrix
 from .structure import BlockMatrix, StructureReport, _as_matrix, classify
 
 __all__ = [
@@ -68,30 +70,8 @@ class PairingError(ValueError):
     """Sorted eigenvalues do not split into near-degenerate pairs."""
 
 
-def _complex(z) -> complex:
-    """``complex(z)``, with an int past float range as infinite, which callers reject."""
-    try:
-        return complex(z)
-    except OverflowError:
-        return complex(math.inf)
-
-
-def _finite_floats(values, what: str) -> np.ndarray:
-    """``values`` as a float array; ValueError naming ``what`` unless all are finite."""
-    try:
-        out = np.asarray(values, dtype=float)
-    except OverflowError:  # an int past float range
-        out = np.array(math.inf)
-    if not np.all(np.isfinite(out)):
-        raise ValueError(f"{what} must be finite")
-    return out
-
-
 def _upper_half_plane(z) -> complex:
-    z = _complex(z)
-    if not (cmath.isfinite(z) and z.imag > 0):
-        raise DomainError(f"z must be finite with Im z > 0, got {z}")
-    return z
+    return complex_number(z, DomainError, "z must be finite with Im z > 0", upper_half_plane)
 
 
 def embed(w: SelfDualMatrix) -> BlockMatrix:
@@ -322,16 +302,16 @@ def dedup_pairs(eigs: np.ndarray, tol: float):
     Raises
     ------
     PairingError
-        If the list has odd length or a non-finite value, or the residual is
-        not within ``tol`` (a non-quaternionic input or an eigensolver failure).
+        If ``tol`` is not a real number >= 0, the list has odd length or a
+        non-finite value, or the residual is not within ``tol`` (a
+        non-quaternionic input or an eigensolver failure).
     """
-    eigs = np.asarray(eigs, dtype=float)
+    tol = tolerance(tol, PairingError)
+    eigs = finite_array(eigs, PairingError, "eigenvalues must be finite")
     if eigs.size % 2:
         raise PairingError(f"expected an even number of eigenvalues, got {eigs.size}")
     if eigs.size == 0:
         return np.empty(0), 0.0
-    if not np.all(np.isfinite(eigs)):
-        raise PairingError("eigenvalues must be finite")
     gaps = eigs[1::2] - eigs[0::2]
     residual = float(np.max(np.abs(gaps))) / max(1.0, float(np.max(np.abs(eigs))))
     if not residual <= tol:
@@ -386,7 +366,7 @@ class ESD:
     """Empirical spectral distribution: right-continuous step CDF."""
 
     def __init__(self, values):
-        self.points = np.sort(_finite_floats(values, "ESD support points"))
+        self.points = np.sort(finite_array(values, ValueError, "ESD support points must be finite"))
         if self.points.size == 0:
             raise ValueError("ESD needs at least one support point")
 
@@ -415,9 +395,8 @@ class StieltjesPoint:
 
 def semicircle_pdf(x, sigma: float = 1.0):
     """Semicircle density ``sqrt(4 sigma^2 - x^2) / (2 pi sigma^2)`` on [-2 sigma, 2 sigma]."""
-    if not (_is_finite(sigma) and sigma > 0):
-        raise ValueError(f"sigma must be positive and finite, got {sigma}")
-    x = np.asarray(x, dtype=float)
+    sigma = real(sigma, ValueError, "sigma must be positive and finite", positive)
+    x = finite_array(x, ValueError, "x must be finite")
     out = np.zeros_like(x)
     inside = np.abs(x) < 2.0 * sigma
     out[inside] = np.sqrt(4.0 * sigma**2 - x[inside] ** 2) / (2.0 * math.pi * sigma**2)
@@ -426,9 +405,8 @@ def semicircle_pdf(x, sigma: float = 1.0):
 
 def semicircle_cdf(x, sigma: float = 1.0):
     """Closed-form semicircle CDF, clamped to {0, 1} outside the support."""
-    if not (_is_finite(sigma) and sigma > 0):
-        raise ValueError(f"sigma must be positive and finite, got {sigma}")
-    x = np.asarray(x, dtype=float)
+    sigma = real(sigma, ValueError, "sigma must be positive and finite", positive)
+    x = finite_array(x, ValueError, "x must be finite")
     xc = np.clip(x, -2.0 * sigma, 2.0 * sigma)
     out = (0.5
            + xc * np.sqrt(np.maximum(4.0 * sigma**2 - xc**2, 0.0)) / (4.0 * math.pi * sigma**2)
@@ -472,9 +450,9 @@ def empirical_stieltjes(sample, z: complex) -> StieltjesPoint:
         If there is no eigenvalue or one is not finite.
     """
     z = _upper_half_plane(z)
-    eigs = sample.eigenvalues_full if isinstance(sample, SpectralSample) \
-        else _finite_floats(sample, "eigenvalues")
-    if not (eigs.size and np.all(np.isfinite(eigs))):
+    eigs = finite_array(sample.eigenvalues_full if isinstance(sample, SpectralSample)
+                        else sample, ValueError, "eigenvalues must be finite")
+    if not eigs.size:
         raise ValueError("eigenvalues must be nonempty and finite")
     value = complex(np.mean(1.0 / (eigs - z)))
     return StieltjesPoint(z=z, value=value)
@@ -498,11 +476,15 @@ def _ks_two_esds(f: ESD, g: ESD) -> float:
     return float(np.max(np.abs(f.cdf(grid) - g.cdf(grid))))
 
 
+def _cdf_values(g, x) -> np.ndarray:
+    return finite_array(g(x), ValueError, "reference CDF values must be finite")
+
+
 def _levy_feasible(f: ESD, g, eps: float, g_points: Optional[np.ndarray]) -> bool:
     slack = 1e-12
     if g_points is None:
-        up = f.cdf(f.points) - _finite_floats(g(f.points + eps), "reference CDF values")
-        down = _finite_floats(g(f.points - eps), "reference CDF values") - f.cdf_left(f.points)
+        up = f.cdf(f.points) - _cdf_values(g, f.points + eps)
+        down = _cdf_values(g, f.points - eps) - f.cdf_left(f.points)
         return bool(up.max() <= eps + slack and down.max() <= eps + slack)
     ev1 = np.concatenate([f.points, g_points - eps])
     sup1 = np.max(f.cdf(ev1) - g.cdf(ev1 + eps))
@@ -529,7 +511,7 @@ def levy_distance(f: ESD, g) -> float:
         hi = _ks_two_esds(f, g)
     else:
         g_points = None
-        hi = _ks_to_cdf(f, _finite_floats(g(f.points), "reference CDF values"))
+        hi = _ks_to_cdf(f, _cdf_values(g, f.points))
     lo = 0.0
     if hi <= _LEVY_TOL:
         return hi
@@ -556,12 +538,9 @@ def resolvent(m, z: complex) -> BlockMatrix:
     ValueError
         If ``m`` is not square or has a non-finite entry.
     """
-    z = _complex(z)
-    if not (cmath.isfinite(z) and z.imag != 0):
-        raise DomainError(f"z must be finite and off the real axis, got {z}")
-    A = _square_matrix(m)
-    if not np.all(np.isfinite(A)):
-        raise ValueError("matrix entries must be finite")
+    z = complex_number(z, DomainError, "z must be finite and off the real axis",
+                       lambda z: cmath.isfinite(z) and z.imag != 0)
+    A = finite_array(_square_matrix(m), ValueError, "matrix entries must be finite", complex)
     shifted = A - z * np.eye(A.shape[0], dtype=complex)
     return BlockMatrix(np.linalg.solve(shifted, np.eye(A.shape[0], dtype=complex)))
 
@@ -667,8 +646,9 @@ def esd_to_csv(e: ESD, path) -> None:
 
 def histogram_csv(values, path, bins: int = 40) -> None:
     """Histogram of finite eigenvalues with the unit semicircle overlay, as CSV."""
-    values = np.asarray(values, dtype=float)
-    if not (values.size and np.all(np.isfinite(values))):
+    bins = integer(bins, ValueError, "bins", 1)
+    values = finite_array(values, ValueError, "histogram values must be nonempty and finite")
+    if not values.size:
         raise ValueError("histogram values must be nonempty and finite")
     lo = min(-_HIST_HALF_WIDTH, float(values.min()))
     hi = max(_HIST_HALF_WIDTH, float(values.max()))

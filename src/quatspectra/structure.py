@@ -23,13 +23,12 @@ matrix inversion: the inverse of an invertible Type-II matrix is Type-I.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import asdict, dataclass
 from typing import Optional
 
 import numpy as np
 
-from .ensemble import _is_int
+from ._args import finite_array, integer, is_int, tolerance
 
 __all__ = [
     "BlockMatrix",
@@ -66,16 +65,6 @@ class SingularError(np.linalg.LinAlgError):
 
 class DecompositionError(ValueError):
     """A 2x2 block cannot be split into quaternion-shaped parts."""
-
-
-def _check_tol(tol) -> float:
-    """``tol`` as a float; ValueError unless it is a real number >= 0 (inf included)."""
-    try:
-        if isinstance(tol, numbers.Real) and not isinstance(tol, bool) and float(tol) >= 0:
-            return float(tol)
-    except OverflowError:  # an int past float range
-        pass
-    raise ValueError(f"tol must be a nonnegative real number, got {tol!r}")
 
 
 class BlockMatrix:
@@ -156,10 +145,7 @@ def _as_blocks(p) -> np.ndarray:
 
 
 def _finite_blocks(p) -> np.ndarray:
-    p = _as_blocks(p)
-    if not np.all(np.isfinite(p)):
-        raise DecompositionError("block entries must be finite")
-    return p
+    return finite_array(_as_blocks(p), DecompositionError, "block entries must be finite", complex)
 
 
 def _type_t_deviation(b) -> np.ndarray:
@@ -174,7 +160,7 @@ def is_type_t(b: np.ndarray, tol: float) -> bool:
 
     A ``(..., 2, 2)`` stack is true when every block is.
     """
-    tol = _check_tol(tol)
+    tol = tolerance(tol)
     return bool(np.all(_type_t_deviation(b) <= tol))
 
 
@@ -243,7 +229,7 @@ def u_partner(p: np.ndarray) -> np.ndarray:
 
 def d_related(p: np.ndarray, q: np.ndarray, tol: float) -> bool:
     """True when ``q`` is the d-mirror of ``p`` within ``tol`` entrywise."""
-    tol = _check_tol(tol)
+    tol = tolerance(tol)
     q = np.asarray(q, dtype=complex)
     return bool(np.max(np.abs(q - d_partner(p))) <= tol)
 
@@ -286,10 +272,9 @@ def classify(m, tol: float) -> StructureReport:
     (TypeII first: it is the input side of the inversion check) and all
     passing classes are listed in ``passing``.
     """
-    tol = _check_tol(tol)
-    values = BlockMatrix(_as_matrix(m)).values  # a 2n x 2n shape check
-    if not np.all(np.isfinite(values)):
-        raise DecompositionError("matrix entries must be finite")
+    tol = tolerance(tol)
+    values = finite_array(BlockMatrix(_as_matrix(m)).values,  # a 2n x 2n shape check
+                          DecompositionError, "matrix entries must be finite", complex)
 
     scale, diag_dev, d_dev = _type1_deviations(values)
     scale = float(scale)
@@ -362,17 +347,17 @@ def make_type2(n: int, t: np.ndarray, coeffs: np.ndarray) -> BlockMatrix:
     Raises
     ------
     ValueError
-        If ``t`` or ``coeffs`` does not have the shape above.
+        If ``n`` is not an integer >= 0, or ``t`` or ``coeffs`` does not have
+        the shape above.
     DecompositionError
         If ``t`` or ``coeffs`` has a non-finite entry.
     """
-    t = np.asarray(t, dtype=complex)
-    coeffs = np.asarray(coeffs, dtype=complex)
+    integer(n, ValueError, "n")
+    t, coeffs = (finite_array(a, DecompositionError, "t and coeffs must be finite", complex)
+                 for a in (t, coeffs))
     if t.shape != (n,) or coeffs.shape != (n, n, 4):
         raise ValueError(f"expected t of shape ({n},) and coeffs of shape "
                          f"({n}, {n}, 4), got {t.shape} and {coeffs.shape}")
-    if not (np.all(np.isfinite(t)) and np.all(np.isfinite(coeffs))):
-        raise DecompositionError("t and coeffs must be finite")
     return BlockMatrix(_type2_values(t, coeffs[np.triu_indices(n, 1)]))
 
 
@@ -388,17 +373,16 @@ def schur_block_inverse(m, split: int) -> BlockMatrix:
     Raises
     ------
     ValueError
-        If ``m`` has a non-finite entry.
+        If ``m`` has a non-finite entry, or ``split`` is not an integer with
+        ``1 <= split < n``.
     SingularError
         If ``S11`` or the Schur complement is numerically singular (smallest
         singular value below ``1e-12 * ||m||``).
     """
-    A = _as_matrix(m)
-    if not np.all(np.isfinite(A)):
-        raise ValueError("matrix entries must be finite")
+    A = finite_array(_as_matrix(m), ValueError, "matrix entries must be finite", complex)
     n2 = A.shape[0]
-    if not 1 <= split < n2 // 2:
-        raise ValueError(f"split must satisfy 1 <= split < n = {n2 // 2}")
+    if not (is_int(split) and 1 <= split < n2 // 2):
+        raise ValueError(f"split must be an integer in [1, n = {n2 // 2}), got {split!r}")
     s = 2 * split
     norm_m = np.linalg.norm(A, 2)
     floor = 1e-12 * norm_m
@@ -521,12 +505,11 @@ def verify_type2_inverse(n: int, trials: int, seed: int, tol: float = 1e-8) -> I
     ------
     ValueError
         If ``n`` or ``trials`` is not an integer >= 1, ``seed`` is not an
-        integer >= 0, or ``tol`` is negative or NaN.
+        integer >= 0, or ``tol`` is not a real number >= 0.
     """
     for name, value, low in (("n", n, 1), ("trials", trials, 1), ("seed", seed, 0)):
-        if not (_is_int(value) and value >= low):
-            raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
-    tol = _check_tol(tol)
+        integer(value, ValueError, name, low)
+    tol = tolerance(tol)
     passes = 0
     resamples = 0
     max_residual = 0.0

@@ -371,6 +371,7 @@ def test_eta_schedule():
     EtaSchedule("constant", 0.0),
     EtaSchedule("constant", math.nan),
     EtaSchedule("exp", 1.0),
+    EtaSchedule("power", 10**400),
 ])
 def test_spec_rejects_invalid_eta_schedule(eta):
     spec = gse_spec(3, 0, eta=eta)
@@ -378,6 +379,8 @@ def test_spec_rejects_invalid_eta_schedule(eta):
         spec.validate()
     with pytest.raises(SpecError, match="eta schedule"):
         sample_general(spec)
+    with pytest.raises(SpecError, match="eta schedule"):  # a schedule built directly
+        eta.eta(4)
 
 
 @pytest.mark.parametrize("n, seed", [
@@ -726,11 +729,12 @@ def test_ensemble_rejects_non_finite_input(data):
 
     key = data.draw(st.sampled_from(["lo", "hi", "p"]), label="param")
     params = {"lo": -1.0, "hi": 1.0, "p": 0.5, key: bad}
-    _raises_value_error(distribution_from_json({"kind": "two_point", "params": params}).validate)
-    for law in (TwoPointCoefficients(**params),
-                UserCoefficients(lambda rng, size: np.full((size, 4), bad))):
-        _raises_value_error(sample_general, EnsembleSpec(n=n, distribution=law, seed=0))
-        _raises_value_error(run_pipeline, EnsembleSpec(n=n, distribution=law, seed=0), w)
+    # a non-finite two-point param is rejected when the law is built
+    _raises_value_error(distribution_from_json, {"kind": "two_point", "params": params})
+    _raises_value_error(TwoPointCoefficients, *params.values())
+    law = UserCoefficients(lambda rng, size: np.full((size, 4), bad))
+    _raises_value_error(sample_general, EnsembleSpec(n=n, distribution=law, seed=0))
+    _raises_value_error(run_pipeline, EnsembleSpec(n=n, distribution=law, seed=0), w)
     kind = data.draw(st.sampled_from(["power", "constant"]), label="eta kind")
     bad_eta = EnsembleSpec(n=n, distribution=GSECoefficients(), seed=0,
                            eta=EtaSchedule(kind, bad))

@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 from memtrace import traced_peak
 from oracles import (pipeline_bounds_with_every_spectrum,
                      resolvent_checks_by_public_calls)
-from quatspectra import ensemble, experiment, spectra
+from quatspectra import cli, ensemble, experiment, spectra
 from quatspectra.cli import main
 from quatspectra.ensemble import (EnsembleSpec, EtaSchedule, GSECoefficients,
                                   SpecError, TwoPointCoefficients, UserCoefficients,
@@ -1192,6 +1192,29 @@ def test_cli_user_errors_exit_code_two(tmp_path, capsys):
     cfg_path.write_text(json.dumps(config.to_json()))
     assert main(["verify", "--config", str(cfg_path)]) == 2
     assert not (tmp_path / "sweep.csv").exists()
+
+
+def test_a_check_tol_past_float_range_exits_two(tmp_path, capsys):
+    # "finite number >= 0": an int a float cannot hold is not one, so the
+    # config is rejected before any check runs or any file is written.
+    obj = small_config(tmp_path, checks=("resolvent_structure",)).to_json()
+    obj["check_tol"] = _HUGE
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps(obj))
+    report = tmp_path / "report.json"
+    assert main(["verify", "--config", str(cfg_path), "--out", str(report)]) == 2
+    assert main(["sweep", "--config", str(cfg_path)]) == 2
+    assert capsys.readouterr().err.count("error: check_tol must be finite and nonnegative") == 2
+    assert not report.exists() and not (tmp_path / "sweep.csv").exists()
+
+
+def test_cli_reports_a_size_too_large_to_allocate(monkeypatch, capsys):
+    def failing(spec):
+        raise MemoryError("Unable to allocate 298. GiB for an array")
+
+    monkeypatch.setattr(cli, "sample_general", failing)
+    assert main(["sample", "--n", "100000"]) == 2
+    assert capsys.readouterr().err == "error: Unable to allocate 298. GiB for an array\n"
 
 
 def test_cli_unreadable_config_exit_code(tmp_path, capsys):
