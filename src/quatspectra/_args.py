@@ -41,6 +41,12 @@ def integer(value, error, name: str, low: int = 0) -> int:
     raise error(f"{name} must be an integer >= {low}, got {value!r}")
 
 
+def integer_list(value, error, name: str) -> list:
+    if isinstance(value, list) and value and all(is_int(v) and v >= 1 for v in value):
+        return value
+    raise error(f"{name} must be a nonempty list of integers >= 1, got {value!r}")
+
+
 def real(value, error, message: str, valid=math.isfinite) -> float:
     """``float(value)`` if it is a real number in the range ``valid`` (false for NaN)."""
     if isinstance(value, numbers.Real) and not isinstance(value, bool):
@@ -74,6 +80,8 @@ def finite_array(values, error, message: str, dtype=float) -> np.ndarray:
     """``values`` as an array of ``dtype`` with every entry finite.  A part's min
     and max are NaN or infinite if an entry is: no array-sized temporary."""
     try:
+        if np.asarray(values).dtype.kind in "US":  # text, which numpy would parse
+            raise TypeError
         out = np.asarray(values, dtype=dtype)
     except (TypeError, ValueError, OverflowError):  # not numbers, or an int past float range
         raise error(message) from None

@@ -53,6 +53,7 @@ __all__ = [
 ]
 
 _CONJ_SIGNS = np.array([1.0, -1.0, -1.0, -1.0])
+_TILE = 128  # side of the square tiles in which _hermitian_residual reads
 _MOMENT_SAMPLES = 1_000_000
 _LINDEBERG_SAMPLES = 200_000
 # rng stream tags so moment estimation / replacement draws never collide
@@ -387,6 +388,8 @@ class EtaSchedule:
                     positive if self.kind == "constant" else math.isfinite)
 
     def eta(self, n: int) -> float:
+        """``eta_n``; SpecError unless ``n`` is an integer >= 1 and the schedule valid."""
+        n = integer(n, SpecError, "n", 1)
         value = self.validate()
         return float(n) ** (-value) if self.kind == "power" else value
 
@@ -510,17 +513,33 @@ class SelfDualMatrix:
         return np.sqrt((self.coeffs**2).sum(axis=2))
 
     def check(self) -> None:
-        """Raise ValueError unless the self-dual invariants hold exactly.
+        """Raise ValueError unless the self-dual invariants hold exactly: a zero
+        :func:`_hermitian_residual`, which also makes the diagonal real."""
+        if not _hermitian_residual(self.coeffs)[1] <= 0.0:
+            raise ValueError("matrix is not self-dual: entry(k,j) != conj(entry(j,k))")
 
-        Each tile on or above the diagonal must equal its mirror tile conjugated
-        (so the diagonal is real); ``|x - y|`` is symmetric, so that covers the rest.
-        """
-        co, t = self.coeffs, 64  # t x t entry tiles: no full-size temporary
-        for i in range(0, self.n, t):
-            for k in range(i, self.n, t):
-                mirror = co[k:k + t, i:i + t].transpose(1, 0, 2) * _CONJ_SIGNS
-                if not np.all(np.abs(co[i:i + t, k:k + t] - mirror) <= 0.0):
-                    raise ValueError("matrix is not self-dual: entry(k,j) != conj(entry(j,k))")
+
+def _hermitian_residual(A: np.ndarray):
+    """Exact ``(max |A|, max |A - A^H|)``, reading each tile with its mirror tile.
+
+    ``A`` is complex, or the ``(n, n, 4)`` coefficients of a quaternion matrix,
+    whose parts ``a + bi`` and ``c + di`` give the values of its embedding.  A
+    non-finite entry makes both NaN, returned before any subtraction.
+    """
+    quaternion = A.ndim == 3
+    t = _TILE // 2 if quaternion else _TILE  # a quaternion entry is 2 embedded rows
+    scale = residual = 0.0
+    for i in range(0, A.shape[0], t):
+        for j in range(i, A.shape[0], t):
+            a, b = A[i:i + t, j:j + t], A[j:j + t, i:i + t]
+            tiles = (a,) if i == j else (a, b)  # a diagonal tile is its own mirror
+            # np.max, unlike the builtin max(), propagates NaN
+            scale = np.max([scale, *(np.abs(x.view(complex)).max() for x in tiles)])
+            if not np.isfinite(scale):
+                return math.nan, math.nan
+            mirror = b.transpose(1, 0, 2) * _CONJ_SIGNS if quaternion else b.conj().T
+            residual = np.maximum(residual, np.abs((a - mirror).view(complex)).max())
+    return float(scale), float(residual)
 
 
 def _assemble(co: np.ndarray, diag: np.ndarray, scale: float) -> np.ndarray:
@@ -652,11 +671,14 @@ class PipelineTrace:
         }
 
 
-def _levy_cube_bound(old: SelfDualMatrix, new: SelfDualMatrix) -> float:
+def _stage(name: str, w: SelfDualMatrix, coeffs: np.ndarray, **fields):
+    """``(matrix, StageRecord)`` of a stage from ``w`` to the matrix that takes over
+    ``coeffs``, a new array; ``fields`` are the record's diagnostics."""
+    out = SelfDualMatrix._owning(coeffs, w.scale)
     # tr(D D^*) / (2n) for the embedded difference equals
     # (1/n) * sum of squared quaternion entry norms of the difference.
-    delta = new.coeffs - old.coeffs
-    return float((delta**2).sum() / old.n)
+    delta = out.coeffs - w.coeffs
+    return out, StageRecord(name=name, levy_cube_bound=float((delta**2).sum() / w.n), **fields)
 
 
 def truncate(w: SelfDualMatrix, eta_n: float):
@@ -676,7 +698,6 @@ def truncate(w: SelfDualMatrix, eta_n: float):
 
     coeffs = w.coeffs.copy()
     coeffs[mask] = 0.0
-    out = SelfDualMatrix._owning(coeffs, w.scale)
 
     upper = np.triu(mask)
     truncated_count = int(upper.sum())
@@ -684,16 +705,9 @@ def truncate(w: SelfDualMatrix, eta_n: float):
     diag_count = truncated_count - off_pairs
     touched = int(np.any(mask, axis=1).sum())
     rank_units = min(4 * off_pairs + 2 * diag_count, 2 * touched, 2 * n)
-
-    record = StageRecord(
-        name="truncate",
-        levy_cube_bound=_levy_cube_bound(w, out),
-        truncated_count=truncated_count,
-        rank_units=rank_units,
-        rank_bound=rank_units / (2.0 * n),
-        details={"eta_n": eta_n, "threshold_unscaled": eta_n * math.sqrt(n)},
-    )
-    return out, record
+    return _stage("truncate", w, coeffs, truncated_count=truncated_count,
+                  rank_units=rank_units, rank_bound=rank_units / (2.0 * n),
+                  details={"eta_n": eta_n, "threshold_unscaled": eta_n * math.sqrt(n)})
 
 
 def zero_diagonal(w: SelfDualMatrix):
@@ -701,9 +715,7 @@ def zero_diagonal(w: SelfDualMatrix):
     coeffs = w.coeffs.copy()
     idx = np.arange(w.n)
     coeffs[idx, idx] = 0.0
-    out = SelfDualMatrix._owning(coeffs, w.scale)
-    record = StageRecord(name="zero_diagonal", levy_cube_bound=_levy_cube_bound(w, out))
-    return out, record
+    return _stage("zero_diagonal", w, coeffs)
 
 
 def _truncated_moments(spec: EnsembleSpec, c: float):
@@ -738,13 +750,8 @@ def centralize(w: SelfDualMatrix, truncated_mean: np.ndarray):
     upper = np.triu_indices(w.n, 1)
     coeffs[upper] -= mu
     coeffs[upper[1], upper[0]] -= mu * _CONJ_SIGNS
-    out = SelfDualMatrix._owning(coeffs, w.scale)
-    record = StageRecord(
-        name="centralize",
-        levy_cube_bound=_levy_cube_bound(w, out),
-        centering_shift_norm=float(np.linalg.norm(truncated_mean)),
-    )
-    return out, record
+    return _stage("centralize", w, coeffs,
+                  centering_shift_norm=float(np.linalg.norm(truncated_mean)))
 
 
 # perfbench/tracing.py wraps the stage under this name too; the alias goes
@@ -781,16 +788,9 @@ def rescale(w: SelfDualMatrix, sigma_sq: float, seed: int):
         coeffs[idx, idx] = w.coeffs[idx, idx]
         replacements = m
         sigma = 1.0
-
-    out = SelfDualMatrix._owning(coeffs, w.scale)
-    record = StageRecord(
-        name="rescale",
-        levy_cube_bound=_levy_cube_bound(w, out),
-        variance_floor_replacements=replacements,
-        details={"sigma": sigma, "sigma_sq_before": sigma_sq,
-                 "replacement_stream": f"seed:{seed}/rescale"},
-    )
-    return out, record
+    return _stage("rescale", w, coeffs, variance_floor_replacements=replacements,
+                  details={"sigma": sigma, "sigma_sq_before": sigma_sq,
+                           "replacement_stream": f"seed:{seed}/rescale"})
 
 
 def run_pipeline(spec: EnsembleSpec, w: Optional[SelfDualMatrix] = None,

@@ -25,7 +25,8 @@ from typing import Optional
 import numpy as np
 
 from . import spectra
-from ._args import complex_number, integer, is_int, nonnegative, real, upper_half_plane
+from ._args import (complex_number, integer, integer_list, is_int, nonnegative, real,
+                    upper_half_plane)
 from .ensemble import EnsembleSpec, SelfDualMatrix, run_pipeline, sample_general
 from .spectra import (ESD, SpectralSample, empirical_stieltjes, histogram_csv,
                       kolmogorov_distance, levy_distance, semicircle_cdf,
@@ -96,10 +97,7 @@ class ExperimentConfig:
 
     def validate(self) -> None:
         """Check every field's type and range; raise ConfigError (or SpecError)."""
-        sizes = self.sizes
-        if not (isinstance(sizes, list) and sizes and all(is_int(s) and s >= 1 for s in sizes)):
-            raise ConfigError(f"sizes must be a nonempty list of integers >= 1, "
-                              f"got {sizes!r}")
+        sizes = integer_list(self.sizes, ConfigError, "sizes")
         if any(a >= b for a, b in zip(sizes, sizes[1:])):
             raise ConfigError(f"sizes must be strictly increasing, got {sizes}")
         integer(self.trials_per_size, ConfigError, "trials_per_size", 1)
@@ -130,9 +128,7 @@ class ExperimentConfig:
         dims, trials = params.pop("inversion_dims"), params.pop("inversion_trials")
         if params:
             raise ConfigError(f"unknown check_params {sorted(params)}")
-        if not (isinstance(dims, list) and dims and all(is_int(d) and d >= 1 for d in dims)):
-            raise ConfigError(f"inversion_dims must be a nonempty list of integers "
-                              f">= 1, got {dims!r}")
+        integer_list(dims, ConfigError, "inversion_dims")
         integer(trials, ConfigError, "inversion_trials", 1)
         self.ensemble.validate()
 

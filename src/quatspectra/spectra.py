@@ -24,7 +24,7 @@ import numpy as np
 
 from ._args import (complex_number, finite_array, integer, positive, real, tolerance,
                     upper_half_plane)
-from .ensemble import _CONJ_SIGNS, SelfDualMatrix
+from .ensemble import SelfDualMatrix, _hermitian_residual
 from .structure import BlockMatrix, StructureReport, _as_matrix, classify
 
 __all__ = [
@@ -131,7 +131,6 @@ _ZGEMM = _load_symbol("scipy_cblas_zgemm64_", None, *[ctypes.c_int] * 3, _INT, _
 _DSTERF = _load_symbol("scipy_LAPACKE_dsterf64_", _INT, _INT, _PTR, _PTR)
 _GET_THREADS = _load_symbol("scipy_openblas_get_num_threads64_", ctypes.c_int)
 _SET_THREADS = _load_symbol("scipy_openblas_set_num_threads64_", None, ctypes.c_int)
-_TILE = 128  # side of the square tiles in which the Hermitian input check reads
 # The one size rule for a draw of self-dual order n: from _QUAT_MIN up it takes the
 # quaternion reduction, whose bits do not depend on the BLAS thread count; below it
 # it runs on one thread, as a second gains no wall time (timings in CHANGES.md).
@@ -158,31 +157,11 @@ def _draw_threads(n: int):
     return _blas_threads(1) if n < _QUAT_MIN else contextlib.nullcontext()
 
 
-def _hermitian_residual(A: np.ndarray):
-    """Exact ``(max |A|, max |A - A^H|)``, reading each tile with its mirror tile.
-
-    ``A`` is complex, or the ``(n, n, 4)`` coefficients of a quaternion matrix,
-    whose parts ``a + bi`` and ``c + di`` give the values of its embedding.  A
-    non-finite entry raises NotHermitianError before any subtraction.
-    """
-    quaternion = A.ndim == 3
-    t = _TILE // 2 if quaternion else _TILE  # a quaternion entry is 2 embedded rows
-    scale = residual = 0.0
-    for i in range(0, A.shape[0], t):
-        for j in range(i, A.shape[0], t):
-            a, b = A[i:i + t, j:j + t], A[j:j + t, i:i + t]
-            # np.max, unlike the builtin max(), propagates NaN
-            scale = np.max([scale, np.abs(a.view(complex)).max(), np.abs(b.view(complex)).max()])
-            if not np.isfinite(scale):
-                raise NotHermitianError("matrix entries must be finite")
-            mirror = b.transpose(1, 0, 2) * _CONJ_SIGNS if quaternion else b.conj().T
-            residual = np.maximum(residual, np.abs((a - mirror).view(complex)).max())
-    return float(scale), float(residual)
-
-
 def _require_hermitian(A: np.ndarray) -> float:
     """``max |entry|`` of ``A`` (as in :func:`_hermitian_residual`) once it passes the check."""
     scale, residual = _hermitian_residual(A)
+    if math.isnan(scale):
+        raise NotHermitianError("matrix entries must be finite")
     if not residual <= 1e-10 * max(scale, 1e-300):
         raise NotHermitianError(
             f"Hermitian residual {residual:.3e} exceeds 1e-10 * {scale:.3e}")

@@ -15,8 +15,10 @@ A matrix whose diagonal is Type-T and whose pairs are all d-related is
 *Type-I*; with u-related pairs it is *Type-II*.  Worked out entrywise, the
 u-mirror ``P^* + Q^* * 1j`` is the d-mirror ``[[p22, -p12], [-p21, p11]]``
 (the J-transpose identity of the complex adjoint), so the two relations, and
-the two classes, coincide pointwise.  Both are computed here as that one
-d-mirror; the tests check it against the u-mirror built from the split.
+the two classes, coincide pointwise: :func:`u_partner` and :func:`u_related`
+are :func:`d_partner` and :func:`d_related`, which raise
+:class:`DecompositionError` on a non-finite block.  The tests check that
+d-mirror against the u-mirror built from the split.
 :func:`verify_type2_inverse` checks at random that the class is closed under
 matrix inversion: the inverse of an invertible Type-II matrix is Type-I.
 """
@@ -90,7 +92,8 @@ class BlockMatrix:
 
     @classmethod
     def identity(cls, n: int) -> "BlockMatrix":
-        return cls(np.eye(2 * n, dtype=complex))
+        """The 2n x 2n identity; ValueError unless ``n`` is an integer >= 0."""
+        return cls(np.eye(2 * integer(n, ValueError, "n"), dtype=complex))
 
     @property
     def blocks(self) -> np.ndarray:
@@ -180,8 +183,9 @@ def _split(p: np.ndarray) -> tuple:
 
 def _quaternion_shaped(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Blocks ``[[x, y], [-conj(y), conj(x)]]``, stacked like ``x``."""
-    return np.stack([np.stack([x, y], axis=-1),
-                     np.stack([-y.conj(), x.conj()], axis=-1)], axis=-2)
+    out = np.empty(x.shape + (2, 2), dtype=complex)
+    out[..., 0, 0], out[..., 0, 1], out[..., 1, 0], out[..., 1, 1] = x, y, -y.conj(), x.conj()
+    return out
 
 
 # The d-mirror q of a 2x2 block p, one entry a row: (r, s, negate, r', s')
@@ -192,9 +196,10 @@ _D_MIRROR = ((0, 0, False, 1, 1), (0, 1, True, 0, 1), (1, 0, True, 1, 0), (1, 1,
 def d_partner(p: np.ndarray) -> np.ndarray:
     """The d-mirror ``[[p22, -p12], [-p21, p11]]`` of a 2x2 block.
 
-    Applies blockwise to a ``(..., 2, 2)`` stack.
+    Applies blockwise to a ``(..., 2, 2)`` stack; raises
+    :class:`DecompositionError` like :func:`quaternion_parts`.
     """
-    p = _as_blocks(p)
+    p = _finite_blocks(p)
     out = np.empty_like(p)
     for r, s, negate, r2, s2 in _D_MIRROR:
         out[..., r, s] = -p[..., r2, s2] if negate else p[..., r2, s2]
@@ -217,26 +222,15 @@ def quaternion_parts(p: np.ndarray) -> tuple:
     return _quaternion_shaped(b1, b2), _quaternion_shaped(c1, c2)
 
 
-def u_partner(p: np.ndarray) -> np.ndarray:
-    """The u-mirror ``B^* + C^* * 1j`` of ``p = B + C*1j`` (canonical split).
-
-    It equals the d-mirror entry for entry, and is computed as
-    :func:`d_partner`.  Applies blockwise to a ``(..., 2, 2)`` stack; raises
-    :class:`DecompositionError` like :func:`quaternion_parts`.
-    """
-    return d_partner(_finite_blocks(p))
-
-
 def d_related(p: np.ndarray, q: np.ndarray, tol: float) -> bool:
-    """True when ``q`` is the d-mirror of ``p`` within ``tol`` entrywise."""
+    """True when ``q`` is the d-mirror of ``p`` within ``tol`` entrywise; raises
+    :class:`DecompositionError` like :func:`d_partner` for ``p`` or ``q``."""
     tol = tolerance(tol)
-    q = np.asarray(q, dtype=complex)
-    return bool(np.max(np.abs(q - d_partner(p))) <= tol)
+    return bool(np.max(np.abs(_finite_blocks(q) - d_partner(p))) <= tol)
 
 
-def u_related(p: np.ndarray, q: np.ndarray, tol: float) -> bool:
-    """True when ``q`` is the u-mirror of ``p`` within ``tol`` entrywise."""
-    return d_related(_finite_blocks(p), q, tol)  # the u-mirror is the d-mirror
+# The u-mirror is the d-mirror (see the module docstring): the same functions.
+u_partner, u_related = d_partner, d_related
 
 
 def _type1_deviations(values: np.ndarray) -> tuple:
@@ -313,11 +307,7 @@ def _type2_values(t: np.ndarray, pairs: np.ndarray) -> np.ndarray:
     n = t.shape[-1]
     j, k = np.triu_indices(n, 1)
     a, b, c, d = np.moveaxis(pairs, -1, 0)
-    upper = np.empty(a.shape + (2, 2), dtype=complex)
-    upper[..., 0, 0] = a + 1j * c
-    upper[..., 0, 1] = b + 1j * d
-    upper[..., 1, 0] = -b.conj() - 1j * d.conj()
-    upper[..., 1, 1] = a.conj() + 1j * c.conj()
+    upper = _quaternion_shaped(a, b) + 1j * _quaternion_shaped(c, d)
     values = np.zeros(t.shape[:-1] + (2 * n, 2 * n), dtype=complex)
     blocks = values.reshape(t.shape + (2, n, 2)).swapaxes(-3, -2)  # a view
     diag = np.arange(n)

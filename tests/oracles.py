@@ -9,7 +9,8 @@ one exception is ``type2_inverse_by_loop``, the reference for how
 ``classify`` one trial at a time, so the two must agree to the bit.  The
 whole-array forms of ``embed``, the coefficient assembly, the Hermitian
 input check and the self-dual check are the references for their
-temporary-free versions, which must agree with them exactly.  The
+temporary-free versions, which must agree with them exactly.  A pipeline
+stage's Levy bound is taken from the whole embedded difference.  The
 verification suite's reuse of work has its references at the end: the
 resolvent checks one public call at a time, the pipeline bounds with every
 stage spectrum solved, the condition test by SVD alone, and the Type-I
@@ -240,6 +241,12 @@ def embed_by_complex_parts(coeffs: np.ndarray) -> np.ndarray:
     out[1::2, 0::2] = -om.conj()
     out[1::2, 1::2] = lam.conj()
     return out
+
+
+def levy_cube_bound_by_embedding(old, new) -> float:
+    """``tr(D D^*) / (2n)`` for ``D = embed(new) - embed(old)``, from whole matrices."""
+    D = embed_by_complex_parts(new.coeffs) - embed_by_complex_parts(old.coeffs)
+    return float(np.trace(D @ D.conj().T).real / (2 * old.n))
 
 
 def assemble_by_fancy_indexing(n: int, off: np.ndarray, diag: np.ndarray,

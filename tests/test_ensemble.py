@@ -24,7 +24,7 @@ from quatspectra.spectra import ESD, embed, hermitian_eigenvalues, levy_distance
 
 from memtrace import traced_peak
 from oracles import (assemble_by_fancy_indexing, assemble_scaled_first,
-                     gse_tail_second_moment_by_quadrature,
+                     gse_tail_second_moment_by_quadrature, levy_cube_bound_by_embedding,
                      normal_tail_second_moment_by_quadrature,
                      self_dual_check_by_whole_arrays, two_point_truncated_mean)
 
@@ -364,6 +364,12 @@ def test_eta_schedule():
         EtaSchedule("exp", 1.0).eta(10)
 
 
+@pytest.mark.parametrize("n", [0, -1, True])
+def test_eta_rejects_a_dimension_that_is_not_an_integer_from_one(n):
+    with pytest.raises(SpecError, match="n must be an integer >= 1"):
+        EtaSchedule().eta(n)
+
+
 @pytest.mark.parametrize("eta", [
     EtaSchedule("power", math.nan),
     EtaSchedule("power", math.inf),
@@ -653,6 +659,20 @@ def test_pipeline_is_deterministic():
     b, tb = run_pipeline(spec)
     assert np.array_equal(a.coeffs, b.coeffs)
     assert ta.to_json() == tb.to_json()
+
+
+# The constant level truncates; rescale then floors sigma at n = 7 and divides at n = 50.
+@pytest.mark.parametrize("eta", [EtaSchedule(), EtaSchedule("constant", 0.2)],
+                         ids=["power", "constant"])
+@pytest.mark.parametrize("law", _LAWS[:4], ids=lambda law: law.kind)
+def test_stage_levy_bounds_match_the_embedded_difference(law, eta):
+    for n in (1, 7, 50):
+        spec = EnsembleSpec(n=n, distribution=law, seed=n, eta=eta)
+        _, trace = run_pipeline(spec, keep_matrices=True)
+        for record, (_, old), (_, new) in zip(trace.stages, trace.matrices,
+                                              trace.matrices[1:]):
+            assert math.isclose(record.levy_cube_bound,
+                                levy_cube_bound_by_embedding(old, new), rel_tol=1e-12)
 
 
 def test_pipeline_estimates_truncated_moments_once():

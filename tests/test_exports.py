@@ -229,9 +229,14 @@ def test_every_annotated_scalar_parameter_has_a_typed_error_row():
     lambda: histogram_csv([0.0, 1.0], os.devnull, bins=True),
     lambda: schur_block_inverse(np.eye(4), True),
     lambda: make_type2(True, np.ones(1), np.zeros((1, 1, 4))),
+    lambda: semicircle_pdf("1"),
+    lambda: semicircle_cdf(b"1"),
+    lambda: ESD(["0.5"]),
 ], ids=["Quaternion.bool", "Quaternion.str", "from_complex.tol", "histogram_csv.bins",
-        "schur_block_inverse.split", "make_type2.n"])
+        "schur_block_inverse.split", "make_type2.n", "semicircle_pdf.str",
+        "semicircle_cdf.bytes", "ESD.str"])
 def test_a_bool_or_a_string_is_not_a_number_argument(call):
-    # Python would take each as the number 1; the table above only sees errors.
+    # Python would take each as the number 1 (numpy parses a string as its number);
+    # the table above only sees errors.
     with pytest.raises(ValueError):
         call()

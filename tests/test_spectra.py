@@ -61,7 +61,7 @@ def test_embedding_shifted_is_type2():
     assert classify(A, tol=1e-12).classification == "TypeII"
 
 
-TILE = spectra._TILE
+TILE = ensemble._TILE
 # Quaternion orders n whose embeddings (order 2n) end just before, on and just
 # after a tile edge, and several tiles on.
 TILE_ORDERS = [1, 2, 3, 2 * TILE - 1, 2 * TILE, 2 * TILE + 1, 4 * TILE + 3]
@@ -171,9 +171,8 @@ def _spoilt_copies(A):
 def _assert_check_matches_oracle(A, monkeypatch):
     for B in itertools.chain([A], _spoilt_copies(A)):  # one copy alive at a time
         scale, residual = hermitian_check_by_full_temporaries(B)
-        if residual is None:
-            with pytest.raises(NotHermitianError, match="finite"):
-                spectra._hermitian_residual(B)
+        if residual is None:  # NaNs, and hermitian_eigenvalues raises the oracle's message
+            assert all(map(math.isnan, spectra._hermitian_residual(B)))
         else:
             assert spectra._hermitian_residual(B) == (scale, residual)
         assert _check_outcome(B, monkeypatch) == _oracle_outcome(B)

@@ -95,6 +95,22 @@ def test_u_related_rejects_bad_input():
         u_related(np.eye(2), np.eye(2), tol=np.nan)
 
 
+def test_u_functions_are_the_d_functions():
+    assert u_partner is d_partner
+    assert u_related is d_related
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0, -np.inf)])
+def test_d_mirror_rejects_a_non_finite_block(bad):
+    p = np.eye(2, dtype=complex)
+    p[0, 1] = bad
+    with pytest.raises(DecompositionError, match="finite"):
+        d_partner(p)
+    for args in ((p, np.eye(2)), (np.eye(2), p)):
+        with pytest.raises(DecompositionError, match="finite"):
+            d_related(*args, tol=1.0)
+
+
 @given(blocks_2x2)
 def test_quaternion_parts_reconstruct(p):
     B, C = quaternion_parts(p)
@@ -190,6 +206,13 @@ def test_block_accessor_is_one_based():
         m.block(1, 3)
     with pytest.raises(ValueError):
         BlockMatrix(np.zeros((3, 3)))
+
+
+@pytest.mark.parametrize("n", [True, -1, 2.0])
+def test_identity_rejects_a_dimension_that_is_not_an_integer(n):
+    with pytest.raises(ValueError, match="n must be an integer >= 0"):
+        BlockMatrix.identity(n)
+    assert BlockMatrix.identity(0).n == 0
 
 
 # ---------------------------------------------------------------------------
