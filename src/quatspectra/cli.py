@@ -7,13 +7,13 @@ import json
 import sys
 from pathlib import Path
 
-from .ensemble import (EnsembleSpec, EtaSchedule, SpecError,
+from .ensemble import (_BUILTINS, EnsembleSpec, EtaSchedule, SpecError,
                        distribution_from_json, run_pipeline, sample_general)
 from .experiment import (ConfigError, ExperimentConfig, default_verify_config,
                          emit, run, verify)
 from .spectra import ESD, DomainError, SpectralSample, esd_to_csv
 
-_CLI_DISTRIBUTIONS = ("gse", "rademacher", "uniform")
+_CLI_DISTRIBUTIONS = tuple(kind for kind, law in _BUILTINS.items() if not law.param_names)
 
 
 def _write_or_print(text: str, out: str) -> None:

@@ -60,6 +60,7 @@ _LINDEBERG_SAMPLES = 200_000
 # with the entry stream
 _MOMENT_TAG = 0x4D4F4D
 _RESCALE_TAG = 0x524553
+_ETA_KEYS = {"power": "exponent", "constant": "value"}  # eta schedule kind -> JSON value key
 
 
 class SpecError(ValueError):
@@ -73,10 +74,10 @@ class SpecError(ValueError):
 class Distribution:
     """Base class for entry distributions of the four quaternion coefficients.
 
-    Subclasses draw unscaled off-diagonal coefficient vectors with
-    ``E x = 0`` and ``E ||x||^2 = 1`` and real diagonal values with second
-    moment 1.  Closed-form truncated moments are provided where available;
-    ``None`` means the caller falls back to Monte Carlo.
+    Subclasses draw, in place by :meth:`_fill_coeffs`, unscaled off-diagonal
+    coefficient vectors with ``E x = 0`` and ``E ||x||^2 = 1``, and real
+    diagonal values with second moment 1.  Closed-form moments are provided
+    where available; ``None`` means the caller falls back to Monte Carlo.
     """
 
     kind = "base"
@@ -91,9 +92,9 @@ class Distribution:
         raise NotImplementedError
 
     def _fill_coeffs(self, rng: np.random.Generator, out: np.ndarray) -> None:
-        """Draw ``len(out)`` coefficient vectors into ``out``.  A subclass defines
-        this or ``sample_coeffs``; each default calls the other."""
-        out[...] = self.sample_coeffs(rng, len(out))
+        """Draw ``len(out)`` coefficient vectors into ``out``: the one coefficient draw
+        a law defines (:meth:`sample_coeffs` allocates and calls it)."""
+        raise NotImplementedError
 
     def validate(self) -> None:
         return None
@@ -103,13 +104,13 @@ class Distribution:
         return None
 
     def truncated_second_moment(self, c: float) -> Optional[float]:
-        """``E[||x||^2 * I(||x|| <= c)]``, or None."""
-        return None
+        """``E[||x||^2 * I(||x|| <= c)]``, or None; by default ``1 - tail``."""
+        m = self.tail_second_moment(c)
+        return None if m is None else 1.0 - m
 
     def tail_second_moment(self, c: float) -> Optional[float]:
         """``E[||x||^2 * I(||x|| >= c)]``, or None."""
-        m = self.truncated_second_moment(c)
-        return None if m is None else 1.0 - m
+        return None
 
     def diag_tail_second_moment(self, c: float) -> Optional[float]:
         """``E[x_jj^2 * I(|x_jj| >= c)]``, or None."""
@@ -143,39 +144,10 @@ class GSECoefficients(Distribution):
         u = 4.0 * c * c
         return math.exp(-u / 2.0) * (u * u / 8.0 + u / 2.0 + 1.0)
 
-    def truncated_second_moment(self, c):
-        return 1.0 - self.tail_second_moment(c)
-
     def diag_tail_second_moment(self, c):
         # standard normal: E[v^2 I(|v| >= c)] = 2 c phi(c) + erfc(c / sqrt 2)
         phi = math.exp(-c * c / 2.0) / math.sqrt(2.0 * math.pi)
         return 2.0 * c * phi + math.erfc(c / math.sqrt(2.0))
-
-
-class RademacherCoefficients(Distribution):
-    """Coefficients +-1/2 with equal probability; diagonal +-1."""
-
-    kind = "rademacher"
-
-    def _fill_coeffs(self, rng, out):
-        # the int64 indices choice([-1.0, 1.0]) draws: its stream, 0 -> -0.5, 1 -> 0.5
-        out[...] = rng.integers(0, 2, size=out.shape)
-        out -= 0.5
-
-    def sample_diag(self, rng, size):
-        return rng.choice([-1.0, 1.0], size=size)
-
-    def truncated_mean(self, c):
-        return np.zeros(4)
-
-    def truncated_second_moment(self, c):
-        return 1.0 if c >= 1.0 else 0.0
-
-    def tail_second_moment(self, c):
-        return 1.0 if c <= 1.0 else 0.0
-
-    def diag_tail_second_moment(self, c):
-        return 1.0 if c <= 1.0 else 0.0
 
 
 class UniformCoefficients(Distribution):
@@ -184,8 +156,11 @@ class UniformCoefficients(Distribution):
     kind = "uniform"
     _half = math.sqrt(3.0) / 2.0
 
-    def sample_coeffs(self, rng, size):
-        return rng.uniform(-self._half, self._half, size=(size, 4))
+    def _fill_coeffs(self, rng, out):
+        # rng.uniform(-h, h)'s bits and stream: -h + 2h u, one double u per entry
+        rng.random(out=out)
+        out *= 2.0 * self._half
+        out -= self._half
 
     def sample_diag(self, rng, size):
         return rng.uniform(-2.0 * self._half, 2.0 * self._half, size=size)
@@ -193,8 +168,8 @@ class UniformCoefficients(Distribution):
     def truncated_mean(self, c):
         return np.zeros(4)
 
-    def truncated_second_moment(self, c):
-        return 1.0 if c >= math.sqrt(3.0) else None
+    def tail_second_moment(self, c):
+        return 0.0 if c >= math.sqrt(3.0) else None
 
     def diag_tail_second_moment(self, c):
         b = math.sqrt(3.0)
@@ -207,8 +182,8 @@ class TwoPointCoefficients(Distribution):
     """Coefficients on two points {lo, hi} with P(hi) = p, scaled to variance 1/4.
 
     The raw law must already have mean zero (no recentering is applied) and
-    positive variance.  Truncated moments are exact, by enumeration of the
-    16 coefficient sign patterns.
+    positive variance.  Truncated and tail moments are exact, by enumeration of
+    the 16 coefficient sign patterns; both count a norm equal to ``c``.
     """
 
     kind = "two_point"
@@ -253,27 +228,26 @@ class TwoPointCoefficients(Distribution):
         return 2.0 * rng.choice(self._values(), size=size, p=self._probs())
 
     def _enumerate(self):
+        """(coefficients, probability, squared norm) of each sign pattern."""
         vals = self._values()
         probs = self._probs()
         idx = np.indices((2, 2, 2, 2)).reshape(4, -1).T
         coeffs = vals[idx]                        # (16, 4)
         weight = probs[idx].prod(axis=1)          # (16,)
-        return coeffs, weight
+        return coeffs, weight, (coeffs**2).sum(axis=1)
 
     def truncated_mean(self, c):
-        coeffs, weight = self._enumerate()
-        inside = np.linalg.norm(coeffs, axis=1) <= c
+        coeffs, weight, sq = self._enumerate()
+        inside = np.sqrt(sq) <= c
         return (coeffs * (weight * inside)[:, None]).sum(axis=0)
 
     def truncated_second_moment(self, c):
-        coeffs, weight = self._enumerate()
-        sq = (coeffs**2).sum(axis=1)
+        _, weight, sq = self._enumerate()
         inside = np.sqrt(sq) <= c
         return float((sq * weight * inside).sum())
 
     def tail_second_moment(self, c):
-        coeffs, weight = self._enumerate()
-        sq = (coeffs**2).sum(axis=1)
+        _, weight, sq = self._enumerate()
         outside = np.sqrt(sq) >= c
         return float((sq * weight * outside).sum())
 
@@ -282,6 +256,25 @@ class TwoPointCoefficients(Distribution):
         probs = self._probs()
         outside = np.abs(vals) >= c
         return float((vals**2 * probs * outside).sum())
+
+
+class RademacherCoefficients(TwoPointCoefficients):
+    """The symmetric two-point law ``TwoPointCoefficients(-1, 1, 1/2)``: coefficients
+    +-1/2, diagonal +-1; its draws keep the streams of ``integers`` and ``choice``."""
+
+    kind = "rademacher"
+    param_names = ()
+
+    def __init__(self):
+        super().__init__(-1.0, 1.0, 0.5)
+
+    def _fill_coeffs(self, rng, out):
+        # the int64 indices choice([-1.0, 1.0]) draws: its stream, 0 -> -0.5, 1 -> 0.5
+        out[...] = rng.integers(0, 2, size=out.shape)
+        out -= 0.5
+
+    def sample_diag(self, rng, size):
+        return rng.choice([-1.0, 1.0], size=size)
 
 
 class UserCoefficients(Distribution):
@@ -323,9 +316,9 @@ class UserCoefficients(Distribution):
     def validate(self):
         self._calibrate()
 
-    def sample_coeffs(self, rng, size):
+    def _fill_coeffs(self, rng, out):
         self._calibrate()
-        return self._scale * self._draw(rng, size)
+        np.multiply(self._draw(rng, len(out)), self._scale, out=out)
 
     def sample_diag(self, rng, size):
         return 2.0 * self.sample_coeffs(rng, size)[:, 0]
@@ -334,12 +327,8 @@ class UserCoefficients(Distribution):
         raise SpecError("user-supplied distributions are not serializable")
 
 
-_BUILTINS = {
-    "gse": GSECoefficients,
-    "rademacher": RademacherCoefficients,
-    "uniform": UniformCoefficients,
-    "two_point": TwoPointCoefficients,
-}
+_BUILTINS = {law.kind: law for law in (GSECoefficients, RademacherCoefficients,
+                                        UniformCoefficients, TwoPointCoefficients)}
 
 
 def distribution_from_json(obj: dict) -> Distribution:
@@ -381,8 +370,7 @@ class EtaSchedule:
     def validate(self) -> float:
         """The value as a float; SpecError unless the kind is known and the value is
         finite (positive when constant)."""
-        if self.kind not in ("power", "constant"):
-            raise SpecError(f"unknown eta schedule kind {self.kind!r}")
+        _eta_key(self.kind)
         return real(self.value, SpecError, f"eta schedule value must be a finite number "
                     f"(positive when constant) for a {self.kind} schedule",
                     positive if self.kind == "constant" else math.isfinite)
@@ -394,9 +382,7 @@ class EtaSchedule:
         return float(n) ** (-value) if self.kind == "power" else value
 
     def to_json(self) -> dict:
-        if self.kind == "power":
-            return {"kind": "power", "exponent": self.value}
-        return {"kind": "constant", "value": self.value}
+        return {"kind": self.kind, _eta_key(self.kind): self.value}
 
     @classmethod
     def from_json(cls, obj: dict) -> "EtaSchedule":
@@ -404,18 +390,20 @@ class EtaSchedule:
         if not isinstance(obj, dict):
             raise SpecError(f"eta schedule must be an object, got {obj!r}")
         kind = obj.get("kind", "power")
-        key = {"power": "exponent", "constant": "value"}.get(kind) \
-            if isinstance(kind, str) else None
-        if key is None:
-            raise SpecError(f"unknown eta schedule kind {kind!r}")
+        key = _eta_key(kind)
         unknown = obj.keys() - {"kind", key}
         if unknown:
             raise SpecError(f"unknown keys {sorted(unknown)} in a {kind} eta schedule")
-        if kind == "power":
-            return cls("power", obj.get("exponent", cls.value))
-        if "value" not in obj:
+        if kind == "constant" and key not in obj:
             raise SpecError("a constant eta schedule needs a value")
-        return cls("constant", obj["value"])
+        return cls(kind, obj.get(key, cls.value))
+
+
+def _eta_key(kind) -> str:
+    """The JSON key of an eta schedule's value; SpecError unless ``kind`` is known."""
+    if isinstance(kind, str) and kind in _ETA_KEYS:
+        return _ETA_KEYS[kind]
+    raise SpecError(f"unknown eta schedule kind {kind!r}")
 
 
 @dataclass
@@ -484,11 +472,11 @@ class SelfDualMatrix:
     def __post_init__(self, copy: bool = True):
         # By default a copy: the caller's array stays writeable, and no alias
         # of it can change the coefficients once they are checked.
-        self.coeffs = (np.array if copy else np.asarray)(self.coeffs, dtype=float, order="C")
-        if self.coeffs.ndim != 3 or self.coeffs.shape[2] != 4 \
-                or self.coeffs.shape[0] != self.coeffs.shape[1]:
-            raise ValueError(f"expected (n, n, 4) coefficients, got {self.coeffs.shape}")
-        finite_array(self.coeffs, ValueError, "matrix entries must be finite")
+        coeffs = (np.array if copy else np.asarray)(self.coeffs, order="C")
+        if coeffs.ndim != 3 or coeffs.shape[2] != 4 or coeffs.shape[0] != coeffs.shape[1]:
+            raise ValueError(f"expected (n, n, 4) coefficients, got {coeffs.shape}")
+        # finite_array converts the copy: text is rejected, not parsed
+        self.coeffs = finite_array(coeffs, ValueError, "matrix entries must be finite")
         self.scale = real(self.scale, ValueError, "scale must be positive and finite", positive)
         self.coeffs.setflags(write=False)
 
@@ -522,9 +510,9 @@ class SelfDualMatrix:
 def _hermitian_residual(A: np.ndarray):
     """Exact ``(max |A|, max |A - A^H|)``, reading each tile with its mirror tile.
 
-    ``A`` is complex, or the ``(n, n, 4)`` coefficients of a quaternion matrix,
-    whose parts ``a + bi`` and ``c + di`` give the values of its embedding.  A
-    non-finite entry makes both NaN, returned before any subtraction.
+    ``A`` is finite: complex, or the ``(n, n, 4)`` coefficients of a quaternion
+    matrix, whose parts ``a + bi`` and ``c + di`` give the values of its embedding.
+    The largest modulus is infinite if one overflows.
     """
     quaternion = A.ndim == 3
     t = _TILE // 2 if quaternion else _TILE  # a quaternion entry is 2 embedded rows
@@ -533,10 +521,7 @@ def _hermitian_residual(A: np.ndarray):
         for j in range(i, A.shape[0], t):
             a, b = A[i:i + t, j:j + t], A[j:j + t, i:i + t]
             tiles = (a,) if i == j else (a, b)  # a diagonal tile is its own mirror
-            # np.max, unlike the builtin max(), propagates NaN
-            scale = np.max([scale, *(np.abs(x.view(complex)).max() for x in tiles)])
-            if not np.isfinite(scale):
-                return math.nan, math.nan
+            scale = max(scale, *(np.abs(x.view(complex)).max() for x in tiles))
             mirror = b.transpose(1, 0, 2) * _CONJ_SIGNS if quaternion else b.conj().T
             residual = np.maximum(residual, np.abs((a - mirror).view(complex)).max())
     return float(scale), float(residual)

@@ -158,9 +158,10 @@ def _draw_threads(n: int):
 
 
 def _require_hermitian(A: np.ndarray) -> float:
-    """``max |entry|`` of ``A`` (as in :func:`_hermitian_residual`) once it passes the check."""
+    """``max |entry|`` of finite ``A`` (as in :func:`_hermitian_residual`) once it
+    passes the check; a modulus past float range fails it as a non-finite entry."""
     scale, residual = _hermitian_residual(A)
-    if math.isnan(scale):
+    if not math.isfinite(scale):
         raise NotHermitianError("matrix entries must be finite")
     if not residual <= 1e-10 * max(scale, 1e-300):
         raise NotHermitianError(
@@ -180,7 +181,8 @@ def hermitian_eigenvalues(m) -> np.ndarray:
         If an entry is not finite or the Hermitian residual precondition
         fails.
     """
-    A = _square_matrix(m)
+    A = finite_array(_square_matrix(m), NotHermitianError, "matrix entries must be finite",
+                     complex)
     _require_hermitian(A)
     return np.linalg.eigvalsh(A)
 
@@ -281,12 +283,14 @@ def dedup_pairs(eigs: np.ndarray, tol: float):
     Raises
     ------
     PairingError
-        If ``tol`` is not a real number >= 0, the list has odd length or a
-        non-finite value, or the residual is not within ``tol`` (a
+        If ``tol`` is not a real number >= 0, the list is not 1-D, has odd
+        length or a non-finite value, or the residual is not within ``tol`` (a
         non-quaternionic input or an eigensolver failure).
     """
     tol = tolerance(tol, PairingError)
     eigs = finite_array(eigs, PairingError, "eigenvalues must be finite")
+    if eigs.ndim != 1:
+        raise PairingError(f"expected a 1-D spectrum, got shape {eigs.shape}")
     if eigs.size % 2:
         raise PairingError(f"expected an even number of eigenvalues, got {eigs.size}")
     if eigs.size == 0:
@@ -350,11 +354,13 @@ class ESD:
             raise ValueError("ESD needs at least one support point")
 
     def cdf(self, x):
-        """F(x) = fraction of points <= x (right-continuous)."""
+        """F(x) = fraction of points <= x (right-continuous); ValueError unless x is finite."""
+        x = finite_array(x, ValueError, "x must be finite")
         return np.searchsorted(self.points, x, side="right") / self.points.size
 
     def cdf_left(self, x):
-        """Left limit F(x-)."""
+        """Left limit F(x-); ValueError unless x is finite."""
+        x = finite_array(x, ValueError, "x must be finite")
         return np.searchsorted(self.points, x, side="left") / self.points.size
 
     def __call__(self, x):

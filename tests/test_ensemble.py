@@ -111,14 +111,41 @@ def test_assembly_matches_fancy_indexing_oracle(law, n):
                                          spiky_two_point()],
                          ids=lambda law: law.kind)
 def test_fill_coeffs_matches_sample_coeffs(law, size):
-    # Each law defines one of the two draws and inherits the other: both give
-    # the same bits and leave the stream in the same place.
+    # _fill_coeffs is the one draw a law defines; sample_coeffs allocates and
+    # calls it.  Into an array of NaNs or a new one: the same bits, and the
+    # stream left in the same place.
     ref, rng = np.random.default_rng(size), np.random.default_rng(size)
     want = law.sample_coeffs(ref, size)
     out = np.full((size, 4), np.nan)
     law._fill_coeffs(rng, out)
     assert np.array_equal(out.view(np.uint64), want.view(np.uint64))
     assert rng.bit_generator.state == ref.bit_generator.state
+
+
+@pytest.mark.parametrize("size", [0, 1, 7, 1000])
+def test_uniform_fill_is_rng_uniform(size):
+    # The in-place fill -h + 2h u has rng.uniform(-h, h)'s bits and stream.
+    half = math.sqrt(3.0) / 2.0
+    ref, rng = np.random.default_rng(size), np.random.default_rng(size)
+    want = ref.uniform(-half, half, size=(size, 4))
+    assert UniformCoefficients().sample_coeffs(rng, size).tobytes() == want.tobytes()
+    assert rng.bit_generator.state == ref.bit_generator.state
+
+
+@pytest.mark.parametrize("c", [0.0, 0.5, np.nextafter(1.0, 0.0), 1.0, np.nextafter(1.0, 2.0),
+                               1.5, math.sqrt(3.0), 10.0])
+def test_rademacher_moments_are_its_closed_forms(c):
+    # Rademacher is the symmetric two-point law; its enumerated moments are
+    # the closed forms, to the bit, on both sides of the tie c = 1 (a norm
+    # equal to c counts as inside and as outside).
+    law = RademacherCoefficients()
+    assert isinstance(law, TwoPointCoefficients)
+    inside, outside = (1.0 if c >= 1.0 else 0.0), (1.0 if c <= 1.0 else 0.0)
+    assert law.truncated_mean(c).tobytes() == np.zeros(4).tobytes()
+    got = [law.truncated_second_moment(c), law.tail_second_moment(c),
+           law.diag_tail_second_moment(c)]
+    assert all(type(m) is float for m in got)
+    assert np.array(got).tobytes() == np.array([inside, outside, outside]).tobytes()
 
 
 def test_coefficient_draws_keep_their_stream():
@@ -243,6 +270,11 @@ def test_matrix_rejects_a_non_finite_entry(bad, where):
     assert SelfDualMatrix(np.zeros((0, 0, 4)), 1.0).n == 0
 
 
+def test_matrix_rejects_text_coefficients():
+    with pytest.raises(ValueError, match="matrix entries must be finite"):
+        SelfDualMatrix(np.full((1, 1, 4), "1"), 1.0)
+
+
 def test_matrix_leaves_the_callers_array_writeable():
     co = np.zeros((2, 2, 4))
     w = SelfDualMatrix(co, 1.0)
@@ -265,12 +297,14 @@ def test_sample_general_hands_its_array_over_without_a_copy():
         w = sample_gse(n, seed=23)
         assert traced_peak(lambda: sample_gse(n, seed=23)) <= 1.02 * w.coeffs.nbytes
         assert not w.coeffs.flags.writeable
-    # The other laws hold at most half an array beside it while they sample:
-    # 1.5 arrays for Rademacher, uniform and user, 1.06 for two-point.
+    # The uniform law fills the tail in place too.  The others hold at most
+    # half an array beside it while they sample: 1.5 arrays for Rademacher's
+    # integers and the user law's draws, 1.06 for two-point's mask.
     for law in _LAWS[1:]:
         spec = EnsembleSpec(n=300, distribution=law, seed=23)
         sample_general(spec)  # the user law calibrates on first use
-        assert traced_peak(lambda: sample_general(spec)) <= 1.55 * 32 * 300 ** 2
+        bound = 1.05 if law.kind == "uniform" else 1.55
+        assert traced_peak(lambda: sample_general(spec)) <= bound * 32 * 300 ** 2
 
 
 def test_entry_accessor_is_one_based_conjugate_mirror():
@@ -334,6 +368,7 @@ def test_distribution_json_roundtrip():
                  UniformCoefficients(), spiky_two_point()):
         clone = distribution_from_json(dist.to_json())
         assert clone.kind == dist.kind
+    assert RademacherCoefficients().to_json() == {"kind": "rademacher", "params": {}}
     with pytest.raises(SpecError):
         distribution_from_json({"kind": "cauchy"})
 
@@ -362,6 +397,15 @@ def test_eta_schedule():
     assert EtaSchedule.from_json(power.to_json()).eta(10) == power.eta(10)
     with pytest.raises(SpecError):
         EtaSchedule("exp", 1.0).eta(10)
+
+
+def test_eta_schedule_json_names_its_own_kind():
+    for eta, obj in ((EtaSchedule("power", 0.25), {"kind": "power", "exponent": 0.25}),
+                     (EtaSchedule("constant", 0.3), {"kind": "constant", "value": 0.3})):
+        assert eta.to_json() == obj
+        assert EtaSchedule.from_json(obj) == eta
+    with pytest.raises(SpecError, match="unknown eta schedule kind 'exp'"):
+        EtaSchedule("exp", 1.0).to_json()  # not written as a constant schedule
 
 
 @pytest.mark.parametrize("n", [0, -1, True])

@@ -1143,6 +1143,17 @@ def test_cli_pipeline(tmp_path):
         ["truncate", "zero_diagonal", "centralize", "rescale"]
 
 
+def test_cli_distributions_are_the_laws_without_params():
+    assert cli._CLI_DISTRIBUTIONS == ("gse", "rademacher", "uniform")
+    parser = cli.build_parser()
+    for command in ("sample", "pipeline"):
+        for kind in cli._CLI_DISTRIBUTIONS:
+            assert parser.parse_args([command, "--n", "2", "--distribution", kind]) \
+                .distribution == kind
+        with pytest.raises(SystemExit):  # its params have no flags
+            parser.parse_args([command, "--n", "2", "--distribution", "two_point"])
+
+
 def test_cli_sweep_deterministic_and_overrides(tmp_path):
     config = small_config(tmp_path, histograms=True)
     cfg_path = tmp_path / "config.json"

@@ -130,6 +130,8 @@ def _typed_error_rows():
         ("Quaternion.__mul__", "__mul__", lambda q, s: q * s, (UNIT, 2.0), 1, ValueError),
         ("Quaternion.__rmul__", "__rmul__", lambda s, q: s * q, (2.0, UNIT), 0, ValueError),
         ("ESD", "values", lambda x: ESD([0.0, x]), (1.0,), 0, ValueError),
+        ("ESD.cdf", "x", esd.cdf, (0.5,), 0, ValueError),
+        ("ESD.cdf_left", "x", esd.cdf_left, (0.5,), 0, ValueError),
         ("levy_distance", "g", lambda v: levy_distance(esd, lambda x: [v] * len(x)), (0.5,), 0,
          ValueError),
         ("lindeberg_statistic", "eta", lindeberg_statistic, (spec, 0.5), 1, SpecError),

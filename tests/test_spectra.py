@@ -171,9 +171,7 @@ def _spoilt_copies(A):
 def _assert_check_matches_oracle(A, monkeypatch):
     for B in itertools.chain([A], _spoilt_copies(A)):  # one copy alive at a time
         scale, residual = hermitian_check_by_full_temporaries(B)
-        if residual is None:  # NaNs, and hermitian_eigenvalues raises the oracle's message
-            assert all(map(math.isnan, spectra._hermitian_residual(B)))
-        else:
+        if residual is not None:  # a non-finite entry is rejected before the residual
             assert spectra._hermitian_residual(B) == (scale, residual)
         assert _check_outcome(B, monkeypatch) == _oracle_outcome(B)
 
@@ -389,6 +387,21 @@ def test_quaternion_check_matches_full_temporaries(n):
         assert _quaternion_outcome(w) == _oracle_outcome(A)
 
 
+def test_an_entry_whose_modulus_overflows_is_self_dual_but_not_solved(monkeypatch):
+    # 1.7e308 + 1.7e308i is finite, with a modulus past float range: the
+    # self-dual check passes it, and both eigensolver routes reject it.
+    co = np.zeros((2, 2, 4))
+    co[0, 1, :2] = 1.7e308
+    co[1, 0, :2] = 1.7e308, -1.7e308
+    w = SelfDualMatrix(co, 1.0)
+    w.check()
+    for quat_min in (w.n + 1, 1):  # the embedding, then the quaternion reduction
+        monkeypatch.setattr(spectra, "_QUAT_MIN", quat_min)
+        with pytest.raises(NotHermitianError, match="matrix entries must be finite"):
+            SpectralSample.from_matrix(w)
+    assert w.coeffs is not None
+
+
 @needs_quaternion
 def test_spectral_sample_takes_the_quaternion_path_from_quat_min():
     w = sample_gse(QUAT_MIN, seed=36)
@@ -508,6 +521,12 @@ def test_dedup_rejects_unpaired_spectrum():
         dedup_pairs(np.array([1.0, 2.0, 3.0, 4.0]), tol=1e-8)
     with pytest.raises(PairingError):
         dedup_pairs(np.array([1.0, 2.0, 3.0]), tol=1e-8)
+
+
+@pytest.mark.parametrize("shape", [(), (2, 2), (1, 2)])
+def test_dedup_rejects_a_spectrum_that_is_not_one_dimensional(shape):
+    with pytest.raises(PairingError, match="1-D spectrum"):
+        dedup_pairs(np.zeros(shape), tol=1e-8)
 
 
 def test_dedup_rejects_nan_spectrum():
@@ -672,6 +691,14 @@ def test_kolmogorov_gse_draw():
     w = sample_gse(1000, seed=8)
     sample = SpectralSample.from_matrix(w)
     assert kolmogorov_distance(ESD(sample.eigenvalues_dedup)) <= 0.06
+
+
+@pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf, [0.5, math.nan]])
+def test_esd_cdf_rejects_a_point_that_is_not_finite(x):
+    esd = ESD([0.0, 1.0])
+    for cdf in (esd.cdf, esd.cdf_left):
+        with pytest.raises(ValueError, match="x must be finite"):
+            cdf(x)
 
 
 def test_levy_identical_is_zero():
