@@ -512,18 +512,19 @@ def _hermitian_residual(A: np.ndarray):
 
     ``A`` is finite: complex, or the ``(n, n, 4)`` coefficients of a quaternion
     matrix, whose parts ``a + bi`` and ``c + di`` give the values of its embedding.
-    The largest modulus is infinite if one overflows.
+    The largest modulus, or the residual, is infinite if it overflows.
     """
     quaternion = A.ndim == 3
     t = _TILE // 2 if quaternion else _TILE  # a quaternion entry is 2 embedded rows
     scale = residual = 0.0
-    for i in range(0, A.shape[0], t):
-        for j in range(i, A.shape[0], t):
-            a, b = A[i:i + t, j:j + t], A[j:j + t, i:i + t]
-            tiles = (a,) if i == j else (a, b)  # a diagonal tile is its own mirror
-            scale = max(scale, *(np.abs(x.view(complex)).max() for x in tiles))
-            mirror = b.transpose(1, 0, 2) * _CONJ_SIGNS if quaternion else b.conj().T
-            residual = np.maximum(residual, np.abs((a - mirror).view(complex)).max())
+    with np.errstate(over="ignore"):  # past float range is an infinite value, not a warning
+        for i in range(0, A.shape[0], t):
+            for j in range(i, A.shape[0], t):
+                a, b = A[i:i + t, j:j + t], A[j:j + t, i:i + t]
+                tiles = (a,) if i == j else (a, b)  # a diagonal tile is its own mirror
+                scale = max(scale, *(np.abs(x.view(complex)).max() for x in tiles))
+                mirror = b.transpose(1, 0, 2) * _CONJ_SIGNS if quaternion else b.conj().T
+                residual = np.maximum(residual, np.abs((a - mirror).view(complex)).max())
     return float(scale), float(residual)
 
 

@@ -218,11 +218,13 @@ def _pin_blas_threads(count: int) -> None:
         spectra._SET_THREADS(count)
 
 
-# Sweep message of a failed resolvent check, filled from its failure fields.
+# Sweep message of a failed resolvent check, filled from its z and failure fields.
 _SWEEP_FAILURE = {
-    "resolvent_structure": "residual {residual:.3e}",
-    "trace_minor": "max {max_difference:.3e} > bound {bound:.3e}",
+    "resolvent_structure": "resolvent_structure z={z}: residual {residual:.3e}",
+    "trace_minor": "trace_minor z={z}: max {max_difference:.3e} > bound {bound:.3e}",
 }
+# What ends a draw in a sweep or verify: the draw is recorded as failed, and the next runs.
+_DRAW_ERRORS = (ValueError, MemoryError, np.linalg.LinAlgError)
 
 
 def _resolvent_checks(w: SelfDualMatrix, config: ExperimentConfig, names):
@@ -231,35 +233,21 @@ def _resolvent_checks(w: SelfDualMatrix, config: ExperimentConfig, names):
     Yields ``(name, z, passed, value, failure)``: ``value`` is the Type-I
     residual or the largest trace-minor difference over its bound, and
     ``failure`` holds the fields a failure report carries.  Both checks read
-    one resolvent per point; every structure result comes first, in z order,
-    so the trace-minor outcomes (or the error one raised) wait for them.
+    one resolvent per point and yield there, in z order, the structure outcome
+    and then the trace-minor one; an error ends the generator at its point.
     """
     structure, minor = "resolvent_structure" in names, "trace_minor" in names
-    deferred = []  # trace-minor outcomes, or the error that ends them
-    for z in config.z_grid:
-        if not (structure or minor):
-            break
+    for z in config.z_grid if structure or minor else ():
         R = spectra.resolvent(spectra.embed(w), z)
         if structure:
             report = spectra._structure_report(R, z, config.check_tol)
             yield ("resolvent_structure", z, report.passed, report.max_residual,
                    {"residual": report.max_residual})
         if minor:
-            try:
-                report = spectra._trace_minor_report(R, z)
-            except Exception as exc:
-                deferred.append(exc)
-                minor = False
-            else:
-                deferred.append(("trace_minor", z, report.passed,
-                                 report.max_difference / report.bound,
-                                 {"max_difference": report.max_difference,
-                                  "bound": report.bound}))
+            report = spectra._trace_minor_report(R, z)
+            yield ("trace_minor", z, report.passed, report.max_difference / report.bound,
+                   {"max_difference": report.max_difference, "bound": report.bound})
         del R  # not held while the next point's resolvent is solved
-    for outcome in deferred:
-        if isinstance(outcome, Exception):
-            raise outcome
-        yield outcome
 
 
 def _nan_row(config: ExperimentConfig, draw, failures: list) -> ConvergenceRow:
@@ -275,8 +263,7 @@ def _run_trial(config: ExperimentConfig, hist_dir, draw) -> ConvergenceRow:
     t0 = time.perf_counter()
     trial, spec = draw
     row = _nan_row(config, draw, [])
-    checks = []  # the resolvent check failures
-    stage, sample = "sample", None
+    stage = "sample"
     with spectra._draw_threads(spec.n):
         try:
             w = sample_general(spec)
@@ -287,12 +274,12 @@ def _run_trial(config: ExperimentConfig, hist_dir, draw) -> ConvergenceRow:
             try:  # before the eigensolve takes over w's array
                 for name, z, passed, _, failure in _resolvent_checks(w, config, config.checks):
                     if not passed:
-                        checks.append(f"{name} z={z}: " + _SWEEP_FAILURE[name].format(**failure))
+                        row.check_failures.append(_SWEEP_FAILURE[name].format(z=z, **failure))
             except Exception as exc:  # never abort the sweep
-                checks.append(f"check error: {exc}")
+                row.check_failures.append(f"check error: {exc}")
             stage = "eigensolve"
             sample = SpectralSample.from_matrix(w, overwrite=True)
-        except (ValueError, MemoryError, np.linalg.LinAlgError) as exc:
+        except _DRAW_ERRORS as exc:
             # one bad draw must not abort the sweep: its row keeps NaN distances
             row.check_failures.append(f"{stage} error: {exc}")
         else:
@@ -302,11 +289,9 @@ def _run_trial(config: ExperimentConfig, hist_dir, draw) -> ConvergenceRow:
             for z in config.z_grid:
                 point = empirical_stieltjes(sample, z).value
                 row.stieltjes_errors[stieltjes_label(z)] = abs(point - semicircle_stieltjes(z))
-    row.check_failures += checks
-
-    if hist_dir is not None and sample is not None:
-        histogram_csv(sample.eigenvalues_dedup,
-                      Path(hist_dir) / f"hist_n{spec.n}_t{trial}.csv")
+            if hist_dir is not None:
+                histogram_csv(sample.eigenvalues_dedup,
+                              Path(hist_dir) / f"hist_n{spec.n}_t{trial}.csv")
     row.wall_time = time.perf_counter() - t0
     return row
 
@@ -487,6 +472,9 @@ def verify(config: ExperimentConfig) -> VerificationReport:
     Every check but ``type2_inverse`` runs on the draws of ``config``, in
     one pass: each draw is sampled once, and that matrix goes to the
     resolvent checks and through the pipeline once for both bound checks.
+    A draw that raises one of ``_DRAW_ERRORS`` adds ``{"n", "seed", "error"}``
+    to the failures of every per-draw check, the error naming its stage
+    (sample, check or pipeline); what the draw recorded before it stays.
     """
     config.validate()
     checks = config.checks or KNOWN_CHECKS
@@ -495,23 +483,27 @@ def verify(config: ExperimentConfig) -> VerificationReport:
     worst = dict.fromkeys(per_draw, 0.0)
     failures = {name: [] for name in per_draw}
     for _, spec in _draws(config) if per_draw else ():
+        stage, origin = "sample", {"n": spec.n, "seed": spec.seed}
         with spectra._draw_threads(spec.n):
-            w = sample_general(spec)
-            if _WORST_KEYS.keys() & counts.keys():
+            try:
+                w = sample_general(spec)
+                stage = "check"
                 for name, z, passed, value, failure in _resolvent_checks(w, config, checks):
                     counts[name] += 1
                     worst[name] = max(worst[name], value)
                     if not passed:
-                        failures[name].append({"n": spec.n, "seed": spec.seed,
-                                               "z": [z.real, z.imag],
-                                               **failure})
-            if _BOUND_KEYS.keys() & counts.keys():
-                for entry in check_pipeline_bounds(spec, w):
-                    for name, key in _BOUND_KEYS.items():
-                        if name in counts and key in entry:
-                            counts[name] += 1
-                            if not entry[key]:
-                                failures[name].append({"n": spec.n, "seed": spec.seed, **entry})
+                        failures[name].append({**origin, "z": [z.real, z.imag], **failure})
+                if _BOUND_KEYS.keys() & counts.keys():
+                    stage = "pipeline"
+                    for entry in check_pipeline_bounds(spec, w):
+                        for name, key in _BOUND_KEYS.items():
+                            if name in counts and key in entry:
+                                counts[name] += 1
+                                if not entry[key]:
+                                    failures[name].append({**origin, **entry})
+            except _DRAW_ERRORS as exc:
+                for name in per_draw:
+                    failures[name].append({**origin, "error": f"{stage} error: {exc}"})
     results = []
     for name in checks:
         if name == "type2_inverse":

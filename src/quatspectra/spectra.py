@@ -349,7 +349,10 @@ class ESD:
     """Empirical spectral distribution: right-continuous step CDF."""
 
     def __init__(self, values):
-        self.points = np.sort(finite_array(values, ValueError, "ESD support points must be finite"))
+        points = finite_array(values, ValueError, "ESD support points must be finite")
+        if points.ndim != 1:
+            raise ValueError(f"ESD support points must be a 1-D list, got shape {points.shape}")
+        self.points = np.sort(points)
         if self.points.size == 0:
             raise ValueError("ESD needs at least one support point")
 

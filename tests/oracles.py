@@ -298,15 +298,14 @@ def self_dual_check_by_whole_arrays(coeffs: np.ndarray):
 
 def resolvent_checks_by_public_calls(w, config, names):
     """``experiment._resolvent_checks`` with one public check call, and so one
-    resolvent, per check and grid point: every structure result in z order,
-    then every trace-minor result."""
-    if "resolvent_structure" in names:
-        for z in config.z_grid:
+    resolvent, per check and grid point: at each point in z order, the
+    structure result, then the trace-minor result."""
+    for z in config.z_grid:
+        if "resolvent_structure" in names:
             report = spectra.resolvent_structure_check(w, z, config.check_tol)
             yield ("resolvent_structure", z, report.passed, report.max_residual,
                    {"residual": report.max_residual})
-    if "trace_minor" in names:
-        for z in config.z_grid:
+        if "trace_minor" in names:
             report = spectra.trace_minor_check(w, z)
             yield ("trace_minor", z, report.passed, report.max_difference / report.bound,
                    {"max_difference": report.max_difference, "bound": report.bound})

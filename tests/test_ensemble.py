@@ -521,6 +521,19 @@ def test_truncate_noop_when_everything_within_threshold():
     assert record.levy_cube_bound == 0.0
 
 
+def test_truncate_keeps_a_norm_equal_to_the_threshold():
+    # Rademacher at n = 4 with eta 0.5: every entry norm and the threshold are
+    # exactly 0.5.  The two-point moments count a norm equal to c as inside,
+    # so truncation must keep it.
+    spec = EnsembleSpec(n=4, distribution=RademacherCoefficients(), seed=3,
+                        eta=EtaSchedule("constant", 0.5))
+    w = sample_general(spec)
+    assert np.all(w.entry_norms() == 0.5)
+    out, record = truncate(w, spec.eta.eta(spec.n))
+    assert record.truncated_count == 0
+    assert np.array_equal(out.coeffs, w.coeffs)
+
+
 def test_truncate_single_pair_bounds_esd_distance():
     n = 6
     w = sample_gse(n, seed=2)

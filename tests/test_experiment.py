@@ -721,11 +721,14 @@ def test_run_records_a_failed_draw_and_keeps_going(tmp_path, monkeypatch, stage,
     assert len(Path(config.output_path).read_text().splitlines()) == 5
 
 
-def test_run_records_a_memory_error_and_verify_raises_it(tmp_path, monkeypatch):
+def test_run_and_verify_record_a_memory_error(tmp_path, monkeypatch):
     # A size too large for memory loses its own rows, not the sweep; it is
-    # the largest, so its draws run first.  verify has no failed-draw rows.
+    # the largest, so its draws run first.  verify records each of its draws
+    # under every per-draw check, and keeps every other draw's results.
     config = small_config(tmp_path, pipeline=True, checks=("resolvent_structure",))
     clean = [r.to_json() for r in run(config)]
+    per_draw = replace(config, checks=KNOWN_CHECKS[1:])
+    clean_checks = verify(replace(per_draw, sizes=[4])).to_json()["checks"]
     sample = experiment.sample_general
 
     def failing(spec):
@@ -741,8 +744,42 @@ def test_run_records_a_memory_error_and_verify_raises_it(tmp_path, monkeypatch):
         assert math.isnan(row.kolmogorov) and math.isnan(row.levy)
         assert all(math.isnan(v) for v in row.stieltjes_errors.values())
         assert row.check_failures == ["sample error: cannot allocate the draw"]
-    with pytest.raises(MemoryError):
-        verify(config)
+    report = verify(per_draw).to_json()
+    assert report["passed"] is False
+    errors = [{"n": r["n"], "seed": r["seed"], "error": "sample error: cannot allocate the draw"}
+              for r in clean[2:]]
+    assert [c["name"] for c in report["checks"]] == list(KNOWN_CHECKS[1:])
+    for got, want in zip(report["checks"], clean_checks):
+        details = want["details"]
+        assert got["details"] == {**details, "failures": details["failures"] + errors}
+
+
+def test_verify_records_a_failed_pipeline_and_keeps_the_resolvent_outcomes(monkeypatch):
+    # At check_tol 0 every structure check fails, so each of its outcomes is
+    # in the report; the failed draw keeps those it recorded before the error.
+    config = default_verify_config(seed=0)
+    config.checks = KNOWN_CHECKS[1:]
+    config.sizes = [4, 8]
+    config.trials_per_size = 1
+    config.check_tol = 0.0
+    full = verify(config).to_json()["checks"]
+    small = verify(replace(config, sizes=[4])).to_json()["checks"]
+    bad_seed = trial_seed(0, 8, 0)
+    bounds = experiment.check_pipeline_bounds
+
+    def failing(spec, w=None):
+        if spec.seed == bad_seed:
+            raise np.linalg.LinAlgError("injected failure")
+        return bounds(spec, w)
+
+    monkeypatch.setattr(experiment, "check_pipeline_bounds", failing)
+    report = verify(config).to_json()
+    assert report["passed"] is False
+    error = {"n": 8, "seed": bad_seed, "error": "pipeline error: injected failure"}
+    assert any(f.get("n") == 8 for f in full[0]["details"]["failures"])
+    for got, want in zip(report["checks"], full[:2] + small[2:]):
+        details = want["details"]
+        assert got["details"] == {**details, "failures": details["failures"] + [error]}
 
 
 _REAL_RUN_TRIAL = experiment._run_trial
@@ -1019,7 +1056,7 @@ _RESOLVENT_CHECKS = ("resolvent_structure", "trace_minor")
                                    _RESOLVENT_CHECKS, _RESOLVENT_CHECKS[::-1]])
 def test_resolvent_checks_match_the_public_checks(tmp_path, names):
     # One resolvent per grid point serves both checks; the results are the
-    # public checks' to the bit, every structure result first.
+    # public checks' to the bit, point by point, the structure result first.
     config = small_config(tmp_path, z_grid=[1j, 1 + 1j, -0.5 + 0.25j], check_tol=1e-14)
     w = sample_general(replace(config.ensemble, n=6))
     want = list(resolvent_checks_by_public_calls(w, config, names))
@@ -1041,8 +1078,7 @@ def test_verify_and_sweep_match_the_public_resolvent_checks(tmp_path, monkeypatc
 
 @pytest.mark.parametrize("names, failing, recorded", [
     (_RESOLVENT_CHECKS, "_trace_minor_report",
-     ["resolvent_structure z=1j", "resolvent_structure z=(1+1j)",
-      "resolvent_structure z=2j", "trace_minor z=1j"]),
+     ["resolvent_structure z=1j", "trace_minor z=1j", "resolvent_structure z=(1+1j)"]),
     (_RESOLVENT_CHECKS, "_structure_report", ["resolvent_structure z=1j"]),
     (("trace_minor",), "_trace_minor_report", ["trace_minor z=1j"]),
 ])
@@ -1065,6 +1101,21 @@ def test_a_check_error_keeps_the_failures_before_it(tmp_path, monkeypatch, names
     assert row.check_failures[-1] == "check error: injected failure"
     monkeypatch.setattr(experiment, "_resolvent_checks", resolvent_checks_by_public_calls)
     assert run(config)[0].check_failures == row.check_failures
+
+
+def test_a_sweep_row_records_its_failures_in_the_order_they_happen(tmp_path, monkeypatch):
+    # At check_tol 0 the structure checks fail before the eigensolve raises.
+    config = small_config(tmp_path, sizes=[4], trials_per_size=1,
+                          checks=("resolvent_structure",), check_tol=0.0)
+
+    def failing(w, **kwargs):
+        raise np.linalg.LinAlgError("injected failure")
+
+    monkeypatch.setattr(SpectralSample, "from_matrix", failing)
+    (row,) = run(config)
+    assert [f.split(":")[0] for f in row.check_failures] == \
+        ["resolvent_structure z=1j", "resolvent_structure z=(1+1j)", "eigensolve error"]
+    assert row.check_failures[-1] == "eigensolve error: injected failure"
 
 
 def count_spectra(monkeypatch):
@@ -1182,6 +1233,36 @@ def test_cli_verify_exit_codes(tmp_path):
     config.check_tol = 0.0
     cfg_path.write_text(json.dumps(config.to_json()))
     assert main(["verify", "--config", str(cfg_path)]) == 1
+
+
+def test_cli_verify_records_a_draw_too_large_for_memory(tmp_path, monkeypatch, capsys):
+    # The draw raises as an allocation too large would, with nothing allocated:
+    # it is a failure entry under each check, the report is written, and the
+    # exit code is 1, as for any failed check.
+    config = default_verify_config(seed=0)
+    config.checks = ("resolvent_structure", "levy_bounds")
+    config.sizes = [4, 8]
+    config.trials_per_size = 1
+    cfg_path = tmp_path / "verify.json"
+    cfg_path.write_text(json.dumps(config.to_json()))
+    report_path = tmp_path / "report.json"
+    bad_seed = trial_seed(0, 8, 0)
+    sample = experiment.sample_general
+
+    def failing(spec):
+        if spec.seed == bad_seed:
+            raise MemoryError("Unable to allocate 2.62 TiB")
+        return sample(spec)
+
+    monkeypatch.setattr(experiment, "sample_general", failing)
+    assert main(["verify", "--config", str(cfg_path), "--out", str(report_path)]) == 1
+    out = capsys.readouterr().out
+    assert "FAIL resolvent_structure" in out and "FAIL levy_bounds" in out
+    report = json.loads(report_path.read_text())
+    assert report["passed"] is False
+    error = {"n": 8, "seed": bad_seed, "error": "sample error: Unable to allocate 2.62 TiB"}
+    assert [c["details"]["failures"] for c in report["checks"]] == [[error], [error]]
+    assert [c["details"]["checks"] for c in report["checks"]] == [2, 4]
 
 
 def test_cli_user_errors_exit_code_two(tmp_path, capsys):
