@@ -25,7 +25,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from ._args import finite_array, integer, positive, real
+from ._args import finite_array, integer, is_int, positive, real
 from .quaternion import Quaternion
 
 __all__ = [
@@ -75,9 +75,11 @@ class Distribution:
     """Base class for entry distributions of the four quaternion coefficients.
 
     Subclasses draw, in place by :meth:`_fill_coeffs`, unscaled off-diagonal
-    coefficient vectors with ``E x = 0`` and ``E ||x||^2 = 1``, and real
-    diagonal values with second moment 1.  Closed-form moments are provided
-    where available; ``None`` means the caller falls back to Monte Carlo.
+    coefficient vectors with ``E x = 0`` and ``E ||x||^2 = 1``.  A real diagonal
+    value is twice one coefficient (:meth:`sample_diag`), so its second moment is
+    1 when the four coefficients share one law, as in every built-in law; a user
+    law's diagonal is twice its first coefficient.  Closed-form moments are
+    provided where available; ``None`` means the caller falls back to Monte Carlo.
     """
 
     kind = "base"
@@ -89,7 +91,9 @@ class Distribution:
         return out
 
     def sample_diag(self, rng: np.random.Generator, size: int) -> np.ndarray:
-        raise NotImplementedError
+        out = np.empty((size, 1))
+        self._fill_coeffs(rng, out)
+        return 2.0 * out[:, 0]
 
     def _fill_coeffs(self, rng: np.random.Generator, out: np.ndarray) -> None:
         """Draw ``len(out)`` coefficient vectors into ``out``: the one coefficient draw
@@ -132,9 +136,6 @@ class GSECoefficients(Distribution):
         rng.standard_normal(out=out)  # in place: no draw-sized temporary
         out *= 0.5
 
-    def sample_diag(self, rng, size):
-        return rng.standard_normal(size)
-
     def truncated_mean(self, c):
         return np.zeros(4)
 
@@ -161,9 +162,6 @@ class UniformCoefficients(Distribution):
         rng.random(out=out)
         out *= 2.0 * self._half
         out -= self._half
-
-    def sample_diag(self, rng, size):
-        return rng.uniform(-2.0 * self._half, 2.0 * self._half, size=size)
 
     def truncated_mean(self, c):
         return np.zeros(4)
@@ -224,9 +222,6 @@ class TwoPointCoefficients(Distribution):
         out[...] = self._values()[0]
         out[hi] = self._values()[1]
 
-    def sample_diag(self, rng, size):
-        return 2.0 * rng.choice(self._values(), size=size, p=self._probs())
-
     def _enumerate(self):
         """(coefficients, probability, squared norm) of each sign pattern."""
         vals = self._values()
@@ -273,9 +268,6 @@ class RademacherCoefficients(TwoPointCoefficients):
         out[...] = rng.integers(0, 2, size=out.shape)
         out -= 0.5
 
-    def sample_diag(self, rng, size):
-        return rng.choice([-1.0, 1.0], size=size)
-
 
 class UserCoefficients(Distribution):
     """User-supplied coefficient sampler, moment-normalized by Monte Carlo.
@@ -318,10 +310,8 @@ class UserCoefficients(Distribution):
 
     def _fill_coeffs(self, rng, out):
         self._calibrate()
-        np.multiply(self._draw(rng, len(out)), self._scale, out=out)
-
-    def sample_diag(self, rng, size):
-        return 2.0 * self.sample_coeffs(rng, size)[:, 0]
+        # the sampler always draws (size, 4); a diagonal fill keeps the first column
+        np.multiply(self._draw(rng, len(out))[:, :out.shape[1]], self._scale, out=out)
 
     def to_json(self):
         raise SpecError("user-supplied distributions are not serializable")
@@ -493,7 +483,10 @@ class SelfDualMatrix:
         return self.coeffs.shape[0]
 
     def entry(self, j: int, k: int) -> Quaternion:
-        """Quaternion entry at 1-based position (j, k)."""
+        """Quaternion entry at 1-based position (j, k); IndexError unless both are
+        integers in ``[1, n]``."""
+        if not all(is_int(i) and 1 <= i <= self.n for i in (j, k)):
+            raise IndexError(f"entry index ({j!r}, {k!r}) out of range for n={self.n}")
         return Quaternion(*self.coeffs[j - 1, k - 1])
 
     def entry_norms(self) -> np.ndarray:
@@ -731,6 +724,9 @@ def centralize(w: SelfDualMatrix, truncated_mean: np.ndarray):
     the conjugate below the diagonal.
     """
     truncated_mean = finite_array(truncated_mean, SpecError, "truncated mean must be finite")
+    if truncated_mean.shape != (4,):
+        raise SpecError(f"truncated mean must be a coefficient 4-vector, got shape "
+                        f"{truncated_mean.shape}")
     mu = truncated_mean * w.scale
     coeffs = w.coeffs.copy()
     upper = np.triu_indices(w.n, 1)
@@ -757,23 +753,20 @@ def rescale(w: SelfDualMatrix, sigma_sq: float, seed: int):
     sigma_sq = real(sigma_sq, SpecError, "sigma_sq must be finite")
     seed = integer(seed, SpecError, "seed")
     n = w.n
-    idx = np.arange(n)
     replacements = 0
     if sigma_sq >= 0.5:
         sigma = math.sqrt(sigma_sq)
-        coeffs = w.coeffs.copy()
-        diag_saved = coeffs[idx, idx].copy()
-        coeffs /= sigma
-        coeffs[idx, idx] = diag_saved
+        coeffs = w.coeffs / sigma
     else:
         rng = np.random.default_rng(np.random.SeedSequence((seed, _RESCALE_TAG)))
         m = n * (n - 1) // 2
         coeffs = np.zeros((n, n, 4))  # the signs go to its tail, as sample_general's draws
         coeffs.reshape(n * n, 4)[n * (n + 1) // 2:, 0] = rng.choice([-1.0, 1.0], size=m)
         _assemble(coeffs, np.zeros(n), w.scale)
-        coeffs[idx, idx] = w.coeffs[idx, idx]
         replacements = m
         sigma = 1.0
+    idx = np.arange(n)
+    coeffs[idx, idx] = w.coeffs[idx, idx]
     return _stage("rescale", w, coeffs, variance_floor_replacements=replacements,
                   details={"sigma": sigma, "sigma_sq_before": sigma_sq,
                            "replacement_stream": f"seed:{seed}/rescale"})

@@ -20,6 +20,7 @@ from quatspectra.ensemble import (EnsembleSpec, EtaSchedule, GSECoefficients,
                                   sample_general, sample_gse, truncate,
                                   zero_diagonal)
 from quatspectra.experiment import check_pipeline_bounds
+from quatspectra.quaternion import Quaternion
 from quatspectra.spectra import ESD, embed, hermitian_eigenvalues, levy_distance
 
 from memtrace import traced_peak
@@ -120,6 +121,32 @@ def test_fill_coeffs_matches_sample_coeffs(law, size):
     law._fill_coeffs(rng, out)
     assert np.array_equal(out.view(np.uint64), want.view(np.uint64))
     assert rng.bit_generator.state == ref.bit_generator.state
+
+
+# Each law's diagonal drawn directly by numpy: sample_diag, twice one
+# coefficient draw, must match its bits and its stream position.
+_DIAG_DRAWS = {
+    "gse": lambda law, rng, size: rng.standard_normal(size),
+    "uniform": lambda law, rng, size: rng.uniform(-math.sqrt(3.0), math.sqrt(3.0), size=size),
+    "rademacher": lambda law, rng, size: rng.choice([-1.0, 1.0], size=size),
+    "two_point": lambda law, rng, size: 2.0 * rng.choice(law._values(), size=size,
+                                                         p=law._probs()),
+    "user": lambda law, rng, size: 2.0 * (np.asarray(law.sampler(rng, size)) * law._scale)[:, 0],
+}
+
+
+@pytest.mark.parametrize("size", [0, 1, 7, 1000])
+@pytest.mark.parametrize("law", _LAWS + [spiky_two_point(), TwoPointCoefficients(-1.0, 9.0, 0.1)],
+                         ids=lambda law: law.kind)
+def test_diagonal_is_twice_one_coefficient_draw(law, size):
+    law.validate()  # the user law calibrates before either stream is read
+    for seed in range(3):
+        ref, rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        want = _DIAG_DRAWS[law.kind](law, ref, size)
+        got = law.sample_diag(rng, size)
+        assert got.shape == (size,)
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+        assert rng.bit_generator.state == ref.bit_generator.state
 
 
 @pytest.mark.parametrize("size", [0, 1, 7, 1000])
@@ -312,6 +339,16 @@ def test_entry_accessor_is_one_based_conjugate_mirror():
     x = w.entry(1, 4)
     y = w.entry(4, 1)
     assert y == x.conjugate()
+
+
+@pytest.mark.parametrize("j, k", [(0, 1), (1, 0), (-1, 1), (1, -1), (6, 1), (1, 6),
+                                  (True, 1), (1, True), (1.5, 1), (1, 1.5)])
+def test_entry_rejects_an_index_outside_one_to_n(j, k):
+    # 0 and -1 would wrap to the last row, True would be read as 1.
+    w = sample_gse(5, seed=3)
+    with pytest.raises(IndexError, match="out of range for n=5"):
+        w.entry(j, k)
+    assert w.entry(5, 5) == Quaternion(*w.coeffs[4, 4])
 
 
 def test_rademacher_entry_norms_are_exactly_one():
@@ -639,6 +676,18 @@ def test_centralize_record_is_the_pipeline_stage_record():
     assert record.to_json() == trace.stages[2].to_json()
 
 
+@pytest.mark.parametrize("mean", [0.1, np.zeros(2), np.full((1, 4), 0.1), np.zeros((2, 4))],
+                         ids=["scalar", "(2,)", "(1, 4)", "(2, 4)"])
+def test_centralize_takes_only_a_coefficient_four_vector(mean):
+    # A scalar or a (1, 4) mean would broadcast over the entries, so the shift
+    # applied would not be the one whose norm the record carries.
+    w = sample_gse(4, 0)
+    with pytest.raises(SpecError, match="coefficient 4-vector"):
+        centralize(w, mean)
+    _, record = centralize(w, [0.1, 0.0, 0.0, 0.0])
+    assert record.centering_shift_norm == 0.1
+
+
 def test_centering_bound_consistent_with_tail_statistic():
     # The centering stage's recorded Levy bound is controlled by the
     # tail-moment statistic: bound <= stat / (eta^2 (n-1)), via
@@ -691,6 +740,24 @@ def test_rescale_replaces_all_pairs_when_variance_floors():
     assert np.all(unscaled[off][:, 1:] == 0.0)
     vals = unscaled[np.triu_indices(n, 1)][:, 0]
     assert np.all(vals**2 == 1.0)  # variance 1 exactly
+
+
+@pytest.mark.parametrize("sigma_sq", [2.0, 0.5, 0.25])
+def test_rescale_leaves_the_diagonal_untouched(sigma_sq):
+    # Both branches, division (sigma_sq >= 1/2) and replacement, on a matrix
+    # whose diagonal is not zero: the diagonal keeps its bits.
+    n = 9
+    w = sample_gse(n, seed=4)
+    idx = np.arange(n)
+    assert np.all(w.coeffs[idx, idx, 0] != 0.0)
+    out, record = rescale(w, sigma_sq, 0)
+    assert record.variance_floor_replacements == (0 if sigma_sq >= 0.5 else n * (n - 1) // 2)
+    assert np.array_equal(out.coeffs[idx, idx].view(np.uint64),
+                          w.coeffs[idx, idx].view(np.uint64))
+    if sigma_sq >= 0.5:
+        off = ~np.eye(n, dtype=bool)
+        want = w.coeffs[off] / math.sqrt(sigma_sq)
+        assert np.array_equal(out.coeffs[off].view(np.uint64), want.view(np.uint64))
 
 
 def test_full_pipeline_gse_moments():
