@@ -60,6 +60,15 @@ _COND_LIMIT = 1e7
 # small enough that the stacks add no measurable peak memory.
 _BLOCK_TRIALS = 64
 
+# numpy's SeedSequence: its hash multipliers and initial constants, the
+# multipliers of its mixing step, its pool of 4 words; then the multiplier of
+# PCG64's 128-bit LCG.
+_MASK32, _MASK128 = (1 << 32) - 1, (1 << 128) - 1
+_INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_POOL = 4
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+
 
 class SingularError(np.linalg.LinAlgError):
     """A required sub-block (or its Schur complement) is numerically singular."""
@@ -102,8 +111,10 @@ class BlockMatrix:
         return self.values.reshape(n, 2, n, 2).swapaxes(1, 2)
 
     def block(self, j: int, k: int) -> np.ndarray:
-        if not (1 <= j <= self.n and 1 <= k <= self.n):
-            raise IndexError(f"block index ({j}, {k}) out of range for n={self.n}")
+        """Block at 1-based position (j, k); IndexError unless both are integers
+        in ``[1, n]``."""
+        if not all(is_int(i) and 1 <= i <= self.n for i in (j, k)):
+            raise IndexError(f"block index ({j!r}, {k!r}) out of range for n={self.n}")
         return self.values[2 * (j - 1):2 * j, 2 * (k - 1):2 * k]
 
     def __repr__(self):
@@ -464,6 +475,67 @@ def _type2_from_normals(normals: np.ndarray, n: int) -> np.ndarray:
     return _type2_values(t, pairs)
 
 
+def _hash_constants(init: int, multiplier: int, count: int) -> np.ndarray:
+    """SeedSequence's hash constants ``init * multiplier^i`` mod 2^32, ``i < count``."""
+    return np.array([init * pow(multiplier, i, 1 << 32) & _MASK32 for i in range(count)],
+                    dtype=np.uint32)[:, None]  # a column, one constant a row
+
+
+def _hashed(values: np.ndarray, consts: np.ndarray) -> np.ndarray:
+    """SeedSequence's hash of each uint32 row of ``values``, row ``i`` with ``consts[i]``
+    and ``consts[i + 1]``; a single row is hashed with each pair in turn.  Wraps
+    modulo 2^32."""
+    values = (values ^ consts[:-1]) * consts[1:]
+    return values ^ (values >> 16)
+
+
+def _mixed(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    x = x * _MIX_L - y * _MIX_R  # wraps modulo 2^32
+    return x ^ (x >> 16)
+
+
+# The hash constants do not depend on the words hashed: those that fill and
+# mix the pool of up to 4 entropy words, then those that hash it out.
+_HASH_A = _hash_constants(_INIT_A, _MULT_A, 4 * _POOL + 1)
+_HASH_B = _hash_constants(_INIT_B, _MULT_B, 2 * _POOL + 1)
+
+
+def _pcg64_states(seed: int, trials: np.ndarray) -> list:
+    """``PCG64(SeedSequence((seed, t))).state`` for each ``t`` of the uint64 array ``trials``.
+
+    One numpy pass over uint32 words, a column per trial, reproduces the
+    SeedSequence: ``seed`` and ``t`` are split into 32-bit words, least
+    significant first (one word, 0, for 0), which it hashes into a pool of 4
+    words, mixes there and hashes out into the generator's four 64-bit seed
+    words.  With fewer than 4 entropy words the pool runs the hash on zeros,
+    so a trial below 2^32 reads its high word, 0, there; past the pool, a
+    trial mixes its high word in only if it has one.  PCG64's seeding then
+    takes two steps of its LCG, on Python ints.
+    """
+    seed_words = [(seed >> s) & _MASK32 for s in range(0, max(seed.bit_length(), 1), 32)]
+    words = np.zeros((max(_POOL, len(seed_words) + 2), len(trials)), dtype=np.uint32)
+    words[:len(seed_words)] = np.array(seed_words, dtype=np.uint32)[:, None]
+    words[len(seed_words)] = trials & _MASK32
+    words[len(seed_words) + 1] = high = trials >> 32
+    consts = (_HASH_A if len(words) == _POOL  # 4 hashes a word
+              else _hash_constants(_INIT_A, _MULT_A, 4 * len(words) + 1))
+    pool = _hashed(words[:_POOL], consts[:_POOL + 1])
+    for src in range(_POOL):  # so that late words reach the early ones
+        dst = [i for i in range(_POOL) if i != src]
+        pool[dst] = _mixed(pool[dst], _hashed(pool[src], consts[4 + 3 * src:8 + 3 * src]))
+    for i in range(_POOL, len(words)):
+        mixed = _mixed(pool, _hashed(words[i], consts[4 * i:4 * i + 5]))
+        pool = mixed if i < len(words) - 1 else np.where(high != 0, mixed, pool)
+    state = _hashed(np.concatenate((pool, pool)), _HASH_B)
+    out = []
+    for s_hi, s_lo, i_hi, i_lo in np.ascontiguousarray(state.T, "<u4").view("<u8").tolist():
+        inc = ((i_hi << 64 | i_lo) << 1 | 1) & _MASK128
+        lcg = ((s_hi << 64 | s_lo) + inc) * _PCG64_MULT + inc  # from 0: a step, + seed, a step
+        out.append({"bit_generator": "PCG64", "state": {"state": lcg & _MASK128, "inc": inc},
+                    "has_uint32": 0, "uinteger": 0})
+    return out
+
+
 def verify_type2_inverse(n: int, trials: int, seed: int, tol: float = 1e-8) -> InversionCheckReport:
     """Sample random invertible Type-II matrices and classify their inverses.
 
@@ -476,7 +548,7 @@ def verify_type2_inverse(n: int, trials: int, seed: int, tol: float = 1e-8) -> I
     invertible.
 
     Each draw is one ``standard_normal(2n + 8n^2)`` call on the trial's
-    generator; its normals are, in order, the real and the imaginary parts
+    stream; its normals are, in order, the real and the imaginary parts
     of the ``t_j`` (the imaginary ones before the shift), then those of the
     coefficients, :func:`make_type2`'s ``(n, n, 4)`` array ``coeffs`` in
     row-major order.  Draws that are numerically too ill-conditioned for
@@ -485,11 +557,16 @@ def verify_type2_inverse(n: int, trials: int, seed: int, tol: float = 1e-8) -> I
     size, each block as stacked arrays drawn into one buffer: one batched
     inverse per variant and round of draws, whose Frobenius bound spares
     most matrices the SVD condition test.
-    Every trial draws from its own stream, seeded by ``(seed, trial)``, so
-    the report depends neither on the block size nor on the order in which
-    trials run.  ``worst_witness`` is the witness that :func:`classify`
-    reports for the inverse with the largest Type-I residual (the first
-    one, in trial order, on a tie).
+    Every trial draws from its own stream, that of
+    ``default_rng(SeedSequence((seed, trial)))``, so the report depends
+    neither on the block size nor on the order in which trials run.  The
+    streams' PCG64 states are derived a block at a time in one pass
+    (:func:`_pcg64_states`) and set in turn on one generator.  A redraw,
+    rare at this limit, is one call too: the trial's stream from its start,
+    its earlier draws and then the new one, of which it keeps the new one.
+    ``worst_witness`` is the witness that :func:`classify` reports for the
+    inverse with the largest Type-I residual (the first one, in trial
+    order, on a tie).
 
     Raises
     ------
@@ -505,12 +582,16 @@ def verify_type2_inverse(n: int, trials: int, seed: int, tol: float = 1e-8) -> I
     max_residual = 0.0
     worst_inverse = None
 
+    bit_generator = np.random.PCG64(0)  # each trial's stream is set on it in turn
+    rng = np.random.Generator(bit_generator)
     for start in range(0, trials, _BLOCK_TRIALS):
-        rngs = [np.random.default_rng(np.random.SeedSequence((seed, trial)))
-                for trial in range(start, min(start + _BLOCK_TRIALS, trials))]
-        size = len(rngs)
-        normals = np.empty((size, 2 * n + 8 * n * n))  # row i: trial i's draw
-        for rng, row in zip(rngs, normals):
+        streams = _pcg64_states(seed, np.arange(start, min(start + _BLOCK_TRIALS, trials),
+                                                dtype=np.uint64))
+        size, width = len(streams), 2 * n + 8 * n * n
+        normals = np.empty((size, width))  # row i: trial i's latest draw
+        draws = np.ones(size, dtype=int)  # each trial's draws so far
+        for state, row in zip(streams, normals):
+            bit_generator.state = state
             rng.standard_normal(out=row)
         values = _type2_from_normals(normals, n)
         # inverses[i, v]: variant v (0 the draw, 1 its t_1 = 0 copy) of trial i;
@@ -520,8 +601,10 @@ def verify_type2_inverse(n: int, trials: int, seed: int, tol: float = 1e-8) -> I
         pending = np.flatnonzero(~well)
         while pending.size:  # redraw each ill-conditioned draw from its stream
             resamples += pending.size
-            for i in pending.tolist():
-                rngs[i].standard_normal(out=normals[i])
+            draws[pending] += 1
+            for i in pending.tolist():  # all its draws from the start, in one call
+                bit_generator.state = streams[i]
+                normals[i] = rng.standard_normal(draws[i] * width)[-width:]
             values[pending] = _type2_from_normals(normals[pending], n)
             inverses[pending, 0], well = _invert_well_conditioned(values[pending])
             pending = pending[~well]

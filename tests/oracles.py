@@ -192,8 +192,10 @@ def type2_inverse_by_loop(n: int, trials: int, seed: int,
                           tol: float = 1e-8) -> structure.InversionCheckReport:
     """``verify_type2_inverse`` one trial at a time, classifying every inverse.
 
-    Each trial redraws from its own ``(seed, trial)`` stream until the draw's
-    condition number is below ``structure._COND_LIMIT`` (read at call time),
+    Each trial builds its own generator, ``default_rng(SeedSequence((seed,
+    trial)))``, whose states the check derives in a pass of its own, and
+    redraws from it until the draw's condition number is below
+    ``structure._COND_LIMIT`` (read at call time),
     then checks the draw and, when it is well conditioned too, its
     ``t_1 = 0`` copy.  The witness is updated on a strictly larger residual.
     """

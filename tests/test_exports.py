@@ -151,6 +151,8 @@ def _typed_error_rows():
         ("SelfDualMatrix.scale", "scale", SelfDualMatrix, (w.coeffs, 1.0), 1, ValueError),
         *((f"SelfDualMatrix.entry.{name}", name, w.entry, (1, 3), i, IndexError)
           for i, name in enumerate("jk")),
+        *((f"BlockMatrix.block.{name}", name, embed(w).block, (1, 3), i, IndexError)
+          for i, name in enumerate("jk")),
         ("sample_gse.n", "n", sample_gse, (3, 0), 0, SpecError),
         ("sample_gse.seed", "seed", sample_gse, (3, 0), 1, SpecError),
         ("semicircle_pdf", "sigma", semicircle_pdf, (0.0, 1.0), 1, ValueError),

@@ -208,6 +208,17 @@ def test_block_accessor_is_one_based():
         BlockMatrix(np.zeros((3, 3)))
 
 
+@pytest.mark.parametrize("j, k", [(0, 1), (1, 0), (-1, 1), (1, -1), (4, 1), (1, 4),
+                                  (True, 1), (1, True), (1.5, 1), (1, 1.5)])
+def test_block_rejects_an_index_outside_one_to_n(j, k):
+    # 0 and -1 would slice from the wrong row, True would be read as 1, and
+    # 1.5 would fail in the slice with an untyped TypeError.
+    m = BlockMatrix(np.arange(36, dtype=complex).reshape(6, 6))
+    with pytest.raises(IndexError, match="out of range for n=3"):
+        m.block(j, k)
+    assert np.array_equal(m.block(3, 3), m.values[4:, 4:])
+
+
 @pytest.mark.parametrize("n", [True, -1, 2.0])
 def test_identity_rejects_a_dimension_that_is_not_an_integer(n):
     with pytest.raises(ValueError, match="n must be an integer >= 0"):
@@ -430,26 +441,48 @@ def test_inversion_check_is_independent_of_block_size(monkeypatch, block):
 
 @pytest.mark.parametrize("n, trials, cond_limit", [(1, 9, 1e7), (3, 70, 30), (8, 65, 1e7)])
 def test_inversion_check_draws_each_trial_in_one_call(monkeypatch, n, trials, cond_limit):
-    # Every draw, a redraw included, is one standard_normal call on its
-    # trial's generator; no other method of the generator is used.
+    # One generator per call, on which each trial's stream is set in turn.
+    # Every draw, a redraw included, is one standard_normal call on it; no
+    # other method of the generator is used.
     monkeypatch.setattr(structure, "_COND_LIMIT", cond_limit)
     want = verify_type2_inverse(n, trials, seed=2).to_json()
-    calls = []
-    make_rng = np.random.default_rng
+    calls, generators = [], []
+    make_generator = np.random.Generator
 
     class CountingGenerator:
-        def __init__(self, seed):
-            self._rng = make_rng(seed)
+        def __init__(self, bit_generator):
+            generators.append(1)
+            self._rng = make_generator(bit_generator)
 
         def standard_normal(self, *args, **kwargs):
             calls.append(1)
             return self._rng.standard_normal(*args, **kwargs)
 
-    monkeypatch.setattr(np.random, "default_rng", CountingGenerator)
+    monkeypatch.setattr(np.random, "Generator", CountingGenerator)
     report = verify_type2_inverse(n, trials, seed=2)
     assert report.to_json() == want
+    assert len(generators) == 1
     assert len(calls) == trials + report.resamples
     assert cond_limit > 100 or report.resamples > 0
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**64 + 7, 10**30])
+def test_trial_states_are_the_seed_sequence_states(seed):
+    # A seed or trial index of 2^32 or more has more than one 32-bit word.
+    # The seeds 2^64 + 7 and 10**30 (3 and 4 words) take the entropy past the
+    # pool of 4, where each further word is mixed in on its own.
+    trials = [0, 1, 63, 64, 65, 2**32 - 1, 2**32, 2**40]
+    states = structure._pcg64_states(seed, np.array(trials, dtype=np.uint64))
+    assert states == [np.random.PCG64(np.random.SeedSequence((seed, t))).state
+                      for t in trials]
+
+
+@pytest.mark.parametrize("seed", [2**32, 2**64 + 7, 10**30])
+def test_inversion_check_matches_loop_oracle_at_large_seeds(monkeypatch, seed):
+    monkeypatch.setattr(structure, "_COND_LIMIT", 30)  # so that some trials redraw
+    report = verify_type2_inverse(4, 70, seed)
+    assert report.resamples > 0
+    assert report.to_json() == type2_inverse_by_loop(4, 70, seed).to_json()
 
 
 @pytest.mark.parametrize("n", range(1, 9))

@@ -79,6 +79,13 @@ MUTANTS = [
     Mutant("centralize-shape-unchecked", "src/quatspectra/ensemble.py",
            "if truncated_mean.shape != (4,):",
            "if False:"),
+    Mutant("pcg64-second-step-dropped", "src/quatspectra/structure.py",
+           "lcg = ((s_hi << 64 | s_lo) + inc) * _PCG64_MULT + inc  "
+           "# from 0: a step, + seed, a step",
+           "lcg = (s_hi << 64 | s_lo) + inc"),
+    Mutant("seed-high-word-always-mixed", "src/quatspectra/structure.py",
+           "pool = mixed if i < len(words) - 1 else np.where(high != 0, mixed, pool)",
+           "pool = mixed"),
 ]
 
 
