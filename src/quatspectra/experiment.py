@@ -205,9 +205,9 @@ class ConvergenceRow:
 
 
 def _draws(config: ExperimentConfig):
-    """``(trial, spec)`` of every draw of a run, in ``(n, trial)`` order."""
+    """``(trial, spec)`` of every draw of a run: largest n first, trials in order."""
     base = config.ensemble
-    for n in config.sizes:
+    for n in reversed(config.sizes):  # validated strictly increasing
         for trial in range(config.trials_per_size):
             yield trial, replace(base, n=n, seed=trial_seed(base.seed, n, trial))
 
@@ -314,7 +314,7 @@ def run(config: ExperimentConfig, jobs: int = 1) -> list:
         hist_dir = str(Path(config.output_path).resolve().parent)
         Path(hist_dir).mkdir(parents=True, exist_ok=True)
     trial_fn = functools.partial(_run_trial, config, hist_dir)
-    draws = sorted(_draws(config), key=lambda draw: -draw[1].n)  # stable: trials keep order
+    draws = list(_draws(config))
     workers = min(jobs, len(draws))  # no idle worker
     if workers > 1:
         from concurrent.futures import BrokenExecutor, ProcessPoolExecutor  # only for a pool
@@ -470,8 +470,9 @@ def verify(config: ExperimentConfig) -> VerificationReport:
     """Run the configured structural checks; failures are reported, not raised.
 
     Every check but ``type2_inverse`` runs on the draws of ``config``, in
-    one pass: each draw is sampled once, and that matrix goes to the
-    resolvent checks and through the pipeline once for both bound checks.
+    one pass in :func:`run`'s order, largest n first: each draw is sampled
+    once, and that matrix goes to the resolvent checks and through the
+    pipeline once for both bound checks.
     A draw that raises one of ``_DRAW_ERRORS`` adds ``{"n", "seed", "error"}``
     to the failures of every per-draw check, the error naming its stage
     (sample, check or pipeline); what the draw recorded before it stays.

@@ -58,18 +58,6 @@ class Quaternion:
                          f"quaternion coefficient {name} must be a finite real number")
             object.__setattr__(self, name, value)
 
-    def conjugate(self) -> "Quaternion":
-        return Quaternion(self.a, -self.b, -self.c, -self.d)
-
-    def norm(self) -> float:
-        try:
-            r = float(np.sqrt(self.a**2 + self.b**2 + self.c**2 + self.d**2))
-        except OverflowError:  # a square beyond the float range
-            r = math.inf
-        if not 0.0 < r < math.inf and (self.a or self.b or self.c or self.d):
-            return math.hypot(self.a, self.b, self.c, self.d)  # the squares over- or underflowed
-        return r
-
     def coeffs(self) -> np.ndarray:
         return np.array([self.a, self.b, self.c, self.d])
 
@@ -121,12 +109,18 @@ def conjugate(x: Quaternion) -> Quaternion:
     Involution with ``conjugate(x*y) == conjugate(y) * conjugate(x)``, and
     ``x * conjugate(x)`` is the real quaternion ``norm(x)**2``.
     """
-    return x.conjugate()
+    return Quaternion(x.a, -x.b, -x.c, -x.d)
 
 
 def norm(x: Quaternion) -> float:
     """Euclidean norm ``sqrt(a^2+b^2+c^2+d^2)``; multiplicative over products."""
-    return x.norm()
+    try:
+        r = float(np.sqrt(x.a**2 + x.b**2 + x.c**2 + x.d**2))
+    except OverflowError:  # a square beyond the float range
+        r = math.inf
+    if not 0.0 < r < math.inf and (x.a or x.b or x.c or x.d):
+        return math.hypot(x.a, x.b, x.c, x.d)  # the squares over- or underflowed
+    return r
 
 
 def to_complex(x: Quaternion) -> np.ndarray:

@@ -19,8 +19,15 @@ the two classes, coincide pointwise: :func:`u_partner` and :func:`u_related`
 are :func:`d_partner` and :func:`d_related`, which raise
 :class:`DecompositionError` on a non-finite block.  The tests check that
 d-mirror against the u-mirror built from the split.
-:func:`verify_type2_inverse` checks at random that the class is closed under
-matrix inversion: the inverse of an invertible Type-II matrix is Type-I.
+
+With ``E = I_n (x) J``, block ``(j, k)`` of ``E A^T E^-1`` is the d-mirror
+of block ``(k, j)`` of ``A``, and a diagonal block is its own d-mirror iff it
+is a scalar matrix.  So Type-I is the single identity ``A = E A^T E^-1``, and
+the paper's lemma, that an invertible Type-II matrix inverts to Type-I, takes
+two lines: ``A^-1 = (E A^T E^-1)^-1 = E (A^-1)^T E^-1``.
+:func:`verify_type2_inverse` checks that closure at random; what it measures
+is the rounding of a floating-point inverse against its 1e-8 tolerance, not
+the lemma, which the tests check exactly over the Gaussian rationals.
 """
 
 from __future__ import annotations
@@ -178,20 +185,6 @@ def is_type_t(b: np.ndarray, tol: float) -> bool:
     return bool(np.all(_type_t_deviation(b) <= tol))
 
 
-def _split(p: np.ndarray) -> tuple:
-    """Coefficients ``b1, c1, b2, c2`` of the canonical split ``p = B + C*1j``.
-
-    ``B = [[b1, b2], [-conj(b2), conj(b1)]]`` and ``C`` likewise, computed
-    blockwise over a ``(..., 2, 2)`` stack.
-    """
-    p = _finite_blocks(p)
-    b1 = (p[..., 0, 0] + p[..., 1, 1].conj()) / 2
-    c1 = (p[..., 0, 0] - p[..., 1, 1].conj()) / 2j
-    b2 = (p[..., 0, 1] - p[..., 1, 0].conj()) / 2
-    c2 = (p[..., 0, 1] + p[..., 1, 0].conj()) / 2j
-    return b1, c1, b2, c2
-
-
 def _quaternion_shaped(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Blocks ``[[x, y], [-conj(y), conj(x)]]``, stacked like ``x``."""
     out = np.empty(x.shape + (2, 2), dtype=complex)
@@ -229,7 +222,11 @@ def quaternion_parts(p: np.ndarray) -> tuple:
     DecompositionError
         If ``p`` is not a finite 2x2 block or stack of them.
     """
-    b1, c1, b2, c2 = _split(p)
+    p = _finite_blocks(p)
+    b1 = (p[..., 0, 0] + p[..., 1, 1].conj()) / 2
+    c1 = (p[..., 0, 0] - p[..., 1, 1].conj()) / 2j
+    b2 = (p[..., 0, 1] - p[..., 1, 0].conj()) / 2
+    c2 = (p[..., 0, 1] + p[..., 1, 0].conj()) / 2j
     return _quaternion_shaped(b1, b2), _quaternion_shaped(c1, c2)
 
 
@@ -495,7 +492,7 @@ def _mixed(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 
 # The hash constants do not depend on the words hashed: those that fill and
-# mix the pool of up to 4 entropy words, then those that hash it out.
+# mix the pool of 4 entropy words, then those that hash it out.
 _HASH_A = _hash_constants(_INIT_A, _MULT_A, 4 * _POOL + 1)
 _HASH_B = _hash_constants(_INIT_B, _MULT_B, 2 * _POOL + 1)
 
@@ -503,29 +500,27 @@ _HASH_B = _hash_constants(_INIT_B, _MULT_B, 2 * _POOL + 1)
 def _pcg64_states(seed: int, trials: np.ndarray) -> list:
     """``PCG64(SeedSequence((seed, t))).state`` for each ``t`` of the uint64 array ``trials``.
 
-    One numpy pass over uint32 words, a column per trial, reproduces the
-    SeedSequence: ``seed`` and ``t`` are split into 32-bit words, least
-    significant first (one word, 0, for 0), which it hashes into a pool of 4
-    words, mixes there and hashes out into the generator's four 64-bit seed
+    A seed below 2^64 and a uint64 trial fill at most the SeedSequence's pool
+    of 4 words, and for them one numpy pass over uint32 words, a column per
+    trial, reproduces it: ``seed`` and ``t`` are split into 32-bit words,
+    least significant first (one word, 0, for 0), which it hashes into the
+    pool, mixes there and hashes out into the generator's four 64-bit seed
     words.  With fewer than 4 entropy words the pool runs the hash on zeros,
-    so a trial below 2^32 reads its high word, 0, there; past the pool, a
-    trial mixes its high word in only if it has one.  PCG64's seeding then
-    takes two steps of its LCG, on Python ints.
+    so a trial below 2^32 reads its high word, 0, there.  PCG64's seeding
+    then takes two steps of its LCG, on Python ints.  A seed of 2^64 or more
+    takes numpy's own seeding, one trial at a time.
     """
+    if seed >> 64:
+        return [np.random.PCG64(np.random.SeedSequence((seed, t))).state for t in trials.tolist()]
     seed_words = [(seed >> s) & _MASK32 for s in range(0, max(seed.bit_length(), 1), 32)]
-    words = np.zeros((max(_POOL, len(seed_words) + 2), len(trials)), dtype=np.uint32)
+    words = np.zeros((_POOL, len(trials)), dtype=np.uint32)
     words[:len(seed_words)] = np.array(seed_words, dtype=np.uint32)[:, None]
     words[len(seed_words)] = trials & _MASK32
-    words[len(seed_words) + 1] = high = trials >> 32
-    consts = (_HASH_A if len(words) == _POOL  # 4 hashes a word
-              else _hash_constants(_INIT_A, _MULT_A, 4 * len(words) + 1))
-    pool = _hashed(words[:_POOL], consts[:_POOL + 1])
+    words[len(seed_words) + 1] = trials >> 32
+    pool = _hashed(words, _HASH_A[:_POOL + 1])
     for src in range(_POOL):  # so that late words reach the early ones
         dst = [i for i in range(_POOL) if i != src]
-        pool[dst] = _mixed(pool[dst], _hashed(pool[src], consts[4 + 3 * src:8 + 3 * src]))
-    for i in range(_POOL, len(words)):
-        mixed = _mixed(pool, _hashed(words[i], consts[4 * i:4 * i + 5]))
-        pool = mixed if i < len(words) - 1 else np.where(high != 0, mixed, pool)
+        pool[dst] = _mixed(pool[dst], _hashed(pool[src], _HASH_A[4 + 3 * src:8 + 3 * src]))
     state = _hashed(np.concatenate((pool, pool)), _HASH_B)
     out = []
     for s_hi, s_lo, i_hi, i_lo in np.ascontiguousarray(state.T, "<u4").view("<u8").tolist():

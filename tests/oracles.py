@@ -17,11 +17,15 @@ stage spectrum solved, the condition test by SVD alone, and the Type-I
 deviations one block pair at a time; each must agree with the shared
 version to the bit.  The u-mirror is built from the quaternion split of its
 block, the way the u-relation is defined, as the check on the d-mirror that
-the package computes for both relations.
+the package computes for both relations.  The paper's lemma, that an
+invertible Type-II matrix inverts to Type-I, is checked with no rounding at
+all: Gauss-Jordan elimination over the Gaussian rationals (``fractions``).
 """
 
+import functools
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 from scipy.integrate import quad
@@ -363,3 +367,70 @@ def type1_deviations_by_blocks(values: np.ndarray) -> tuple:
     for j, k in itertools.permutations(range(n), 2):
         d_dev[j, k] = np.abs(block(k, j) - mirror(block(j, k))).max() / denom
     return scale, diag_dev, d_dev
+
+
+# Gaussian rationals: a complex number as its (real, imaginary) pair of Fractions.
+_G0, _G1 = (Fraction(0), Fraction(0)), (Fraction(1), Fraction(0))
+
+
+def gaussian_rationals(values: np.ndarray) -> list:
+    """A complex array whose parts are integers, as rows of Gaussian rationals."""
+    assert np.array_equal(values, np.round(values.real) + 1j * np.round(values.imag))
+    return [[(Fraction(int(v.real)), Fraction(int(v.imag))) for v in row] for row in values]
+
+
+def _g_mul(x, y):
+    return (x[0] * y[0] - x[1] * y[1], x[0] * y[1] + x[1] * y[0])
+
+
+def _g_sub(x, y):
+    return (x[0] - y[0], x[1] - y[1])
+
+
+def exact_matmul(a: list, b: list) -> list:
+    """The product of two matrices of Gaussian rationals."""
+    out = [[_G0] * len(b[0]) for _ in a]
+    for i, row in enumerate(a):
+        for k, x in enumerate(row):
+            for j, y in enumerate(b[k]):
+                if x != _G0 and y != _G0:
+                    p = _g_mul(x, y)
+                    out[i][j] = (out[i][j][0] + p[0], out[i][j][1] + p[1])
+    return out
+
+
+def exact_inverse(a: list):
+    """The inverse of a square matrix of Gaussian rationals by Gauss-Jordan
+    elimination with exact arithmetic; None if the matrix is singular."""
+    m = len(a)
+    rows = [list(row) + [_G1 if i == j else _G0 for j in range(m)] for i, row in enumerate(a)]
+    for col in range(m):
+        pivot = next((r for r in range(col, m) if rows[r][col] != _G0), None)
+        if pivot is None:
+            return None
+        rows[col], rows[pivot] = rows[pivot], rows[col]
+        re, im = rows[col][col]
+        inv = (re / (re * re + im * im), -im / (re * re + im * im))
+        rows[col] = [_g_mul(inv, x) for x in rows[col]]
+        for r in range(m):
+            if r != col and rows[r][col] != _G0:
+                factor = rows[r][col]
+                rows[r] = [_g_sub(x, _g_mul(factor, y)) for x, y in zip(rows[r], rows[col])]
+    return [row[m:] for row in rows]
+
+
+@functools.lru_cache
+def _e_and_inverse(m: int) -> tuple:
+    """``E = I_n (x) J`` of order ``m = 2n``, ``J = [[0, 1], [-1, 0]]``, and its
+    inverse, solved for rather than assumed."""
+    e = [[_G0] * m for _ in range(m)]
+    for k in range(0, m, 2):
+        e[k][k + 1], e[k + 1][k] = _G1, (Fraction(-1), Fraction(0))
+    return e, exact_inverse(e)
+
+
+def j_transpose(x: list) -> list:
+    """``E X^T E^-1`` of a matrix of Gaussian rationals: it is Type-I exactly
+    when it equals this."""
+    e, e_inv = _e_and_inverse(len(x))
+    return exact_matmul(exact_matmul(e, [list(col) for col in zip(*x)]), e_inv)

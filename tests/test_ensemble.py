@@ -20,7 +20,7 @@ from quatspectra.ensemble import (EnsembleSpec, EtaSchedule, GSECoefficients,
                                   sample_general, sample_gse, truncate,
                                   zero_diagonal)
 from quatspectra.experiment import check_pipeline_bounds
-from quatspectra.quaternion import Quaternion
+from quatspectra.quaternion import Quaternion, conjugate
 from quatspectra.spectra import ESD, embed, hermitian_eigenvalues, levy_distance
 
 from memtrace import traced_peak
@@ -338,7 +338,7 @@ def test_entry_accessor_is_one_based_conjugate_mirror():
     w = sample_gse(5, seed=3)
     x = w.entry(1, 4)
     y = w.entry(4, 1)
-    assert y == x.conjugate()
+    assert y == conjugate(x)
 
 
 @pytest.mark.parametrize("j, k", [(0, 1), (1, 0), (-1, 1), (1, -1), (6, 1), (1, 6),

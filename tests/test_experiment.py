@@ -515,14 +515,14 @@ def test_run_hands_out_the_largest_draws_first(tmp_path, monkeypatch, jobs):
 
 def test_run_rows_are_the_trials_in_draw_order(tmp_path):
     # Running largest first changes no row and no histogram: each is what
-    # _run_trial gives for that draw on its own, in _draws order.
+    # _run_trial gives for that draw on its own, in (n, trial) order.
     config = small_config(tmp_path, sizes=[3, 6, 9], histograms=True, pipeline=True,
                           checks=("resolvent_structure",))
     got = [r.to_json() for r in run(config)]
     alone = tmp_path / "alone"
     alone.mkdir()
     want = [experiment._run_trial(config, str(alone), draw).to_json()
-            for draw in experiment._draws(config)]
+            for draw in sorted(experiment._draws(config), key=lambda draw: draw[1].n)]
     assert json.dumps(got) == json.dumps(want)
     names = sorted(p.name for p in alone.iterdir())
     assert len(names) == 6
@@ -555,7 +555,7 @@ def test_draws_below_the_threshold_run_on_one_blas_thread(tmp_path, monkeypatch)
     assert seen == [(large, 4), (small, 1)] and state["threads"] == 4
     seen.clear()
     assert verify(config).all_passed()
-    assert seen == [(small, 1), (large, 4), ("type2", 1), ("type2", 1)]
+    assert seen == [(large, 4), (small, 1), ("type2", 1), ("type2", 1)]
     assert state["threads"] == 4
 
 
@@ -723,12 +723,15 @@ def test_run_records_a_failed_draw_and_keeps_going(tmp_path, monkeypatch, stage,
 
 def test_run_and_verify_record_a_memory_error(tmp_path, monkeypatch):
     # A size too large for memory loses its own rows, not the sweep; it is
-    # the largest, so its draws run first.  verify records each of its draws
-    # under every per-draw check, and keeps every other draw's results.
+    # the largest, so its draws run first, in run and verify alike.  verify
+    # records each of its draws under every per-draw check, ahead of the
+    # smaller draws' outcomes, and keeps every other draw's results.
     config = small_config(tmp_path, pipeline=True, checks=("resolvent_structure",))
     clean = [r.to_json() for r in run(config)]
-    per_draw = replace(config, checks=KNOWN_CHECKS[1:])
+    # At check_tol 0 the n = 4 draws record structure failures, after the errors.
+    per_draw = replace(config, checks=KNOWN_CHECKS[1:], check_tol=0.0)
     clean_checks = verify(replace(per_draw, sizes=[4])).to_json()["checks"]
+    assert clean_checks[0]["details"]["failures"]
     sample = experiment.sample_general
 
     def failing(spec):
@@ -751,12 +754,13 @@ def test_run_and_verify_record_a_memory_error(tmp_path, monkeypatch):
     assert [c["name"] for c in report["checks"]] == list(KNOWN_CHECKS[1:])
     for got, want in zip(report["checks"], clean_checks):
         details = want["details"]
-        assert got["details"] == {**details, "failures": details["failures"] + errors}
+        assert got["details"] == {**details, "failures": errors + details["failures"]}
 
 
 def test_verify_records_a_failed_pipeline_and_keeps_the_resolvent_outcomes(monkeypatch):
     # At check_tol 0 every structure check fails, so each of its outcomes is
     # in the report; the failed draw keeps those it recorded before the error.
+    # The n = 8 draw runs first: its outcomes, its error, then the n = 4 draw's.
     config = default_verify_config(seed=0)
     config.checks = KNOWN_CHECKS[1:]
     config.sizes = [4, 8]
@@ -779,7 +783,9 @@ def test_verify_records_a_failed_pipeline_and_keeps_the_resolvent_outcomes(monke
     assert any(f.get("n") == 8 for f in full[0]["details"]["failures"])
     for got, want in zip(report["checks"], full[:2] + small[2:]):
         details = want["details"]
-        assert got["details"] == {**details, "failures": details["failures"] + [error]}
+        failures = details["failures"]
+        first = [f for f in failures if f["n"] == 8]
+        assert got["details"] == {**details, "failures": first + [error] + failures[len(first):]}
 
 
 _REAL_RUN_TRIAL = experiment._run_trial
@@ -985,7 +991,7 @@ def test_verify_runs_the_pipeline_once_per_draw(monkeypatch):
     config = default_verify_config(seed=0)
     config.checks = ("levy_bounds", "rank_bounds")
     assert verify(config).all_passed()
-    assert seeds == [trial_seed(0, n, trial) for n in config.sizes
+    assert seeds == [trial_seed(0, n, trial) for n in reversed(config.sizes)
                      for trial in range(config.trials_per_size)]
 
 
@@ -1008,8 +1014,26 @@ def test_verify_samples_each_draw_once(monkeypatch):
     config = default_verify_config(seed=0)
     config.check_params["inversion_trials"] = 16
     assert verify(config).all_passed()
-    assert seeds == [trial_seed(0, n, trial) for n in config.sizes
+    assert seeds == [trial_seed(0, n, trial) for n in reversed(config.sizes)
                      for trial in range(config.trials_per_size)]
+
+
+def test_verify_samples_the_largest_draws_first(tmp_path, monkeypatch):
+    # verify draws in run's order: n descending, trials ascending within a
+    # size, so a size too large to allocate fails before any smaller draw.
+    seen = []
+    real = experiment.sample_general
+
+    def recording(spec):
+        seen.append(spec.n)
+        return real(spec)
+
+    monkeypatch.setattr(experiment, "sample_general", recording)
+    config = small_config(tmp_path, sizes=[4, 8, 12], checks=("trace_minor",))
+    verify(config)
+    assert seen == [12, 12, 8, 8, 4, 4]
+    assert [(draw[1].n, draw[0]) for draw in experiment._draws(config)] == \
+        [(12, 0), (12, 1), (8, 0), (8, 1), (4, 0), (4, 1)]
 
 
 def test_verify_type2_inverse_only_samples_no_draw(monkeypatch):

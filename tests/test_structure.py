@@ -16,7 +16,8 @@ from quatspectra.structure import (BlockMatrix, DecompositionError,
                                    u_partner, u_related, verify_type2_inverse)
 
 from memtrace import traced_peak
-from oracles import (invert_by_svd_test, type1_deviations_by_blocks, type2_by_loop,
+from oracles import (exact_inverse, exact_matmul, gaussian_rationals, invert_by_svd_test,
+                     j_transpose, type1_deviations_by_blocks, type2_by_loop,
                      type2_inverse_by_loop, u_mirror_by_split)
 
 complex_entry = st.builds(complex,
@@ -466,12 +467,13 @@ def test_inversion_check_draws_each_trial_in_one_call(monkeypatch, n, trials, co
     assert cond_limit > 100 or report.resamples > 0
 
 
-@pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**64 + 7, 10**30])
+@pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**64 - 1, 2**64, 2**64 + 7, 10**30])
 def test_trial_states_are_the_seed_sequence_states(seed):
     # A seed or trial index of 2^32 or more has more than one 32-bit word.
-    # The seeds 2^64 + 7 and 10**30 (3 and 4 words) take the entropy past the
-    # pool of 4, where each further word is mixed in on its own.
-    trials = [0, 1, 63, 64, 65, 2**32 - 1, 2**32, 2**40]
+    # A seed below 2^64 and any uint64 trial fill at most the pool of 4 words,
+    # and take the vectorized pass; 2^64 - 1 and 2^64 are the two sides of
+    # that branch, and from 2^64 (3 and more words) numpy seeds each trial.
+    trials = [0, 1, 63, 64, 65, 2**32 - 1, 2**32, 2**40, 2**64 - 1]
     states = structure._pcg64_states(seed, np.array(trials, dtype=np.uint64))
     assert states == [np.random.PCG64(np.random.SeedSequence((seed, t))).state
                       for t in trials]
@@ -483,6 +485,37 @@ def test_inversion_check_matches_loop_oracle_at_large_seeds(monkeypatch, seed):
     report = verify_type2_inverse(4, 70, seed)
     assert report.resamples > 0
     assert report.to_json() == type2_inverse_by_loop(4, 70, seed).to_json()
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_type2_inverse_is_exactly_type1_over_gaussian_rationals(n):
+    # The lemma with no rounding: a Type-II matrix A is A = E A^T E^-1, so an
+    # invertible one has A^-1 = E (A^-1)^T E^-1, which is Type-I.  Entries are
+    # Gaussian integers in [-3, 3]; the inverse is exact, by Gauss-Jordan.
+    rng = np.random.default_rng(n)
+    identity = gaussian_rationals(np.eye(2 * n))
+    invertible = 0
+    for _ in range(20):
+        t = rng.integers(-3, 4, n) + 1j * rng.integers(-3, 4, n)
+        coeffs = rng.integers(-3, 4, (n, n, 4)) + 1j * rng.integers(-3, 4, (n, n, 4))
+        values = make_type2(n, t, coeffs).values
+        a = gaussian_rationals(values)
+        assert j_transpose(a) == a
+        inverse = exact_inverse(a)
+        if inverse is None:
+            assert np.linalg.matrix_rank(values) < 2 * n
+            continue
+        invertible += 1
+        assert exact_matmul(a, inverse) == identity
+        assert j_transpose(inverse) == inverse
+        rounded = np.array([[complex(float(re), float(im)) for re, im in row]
+                            for row in inverse])
+        report = classify(rounded, 1e-8)
+        assert report.passes("TypeI") and report.residuals["TypeI"] == 0.0
+        assert np.allclose(np.linalg.inv(values), rounded, rtol=0, atol=1e-10)
+        if n > 1 and np.linalg.matrix_rank(values[:2, :2]) == 2:
+            assert np.allclose(schur_block_inverse(values, 1).values, rounded, rtol=0, atol=1e-10)
+    assert invertible >= 15
 
 
 @pytest.mark.parametrize("n", range(1, 9))
